@@ -32,8 +32,6 @@ from .benchmark_store import (
     TabularStore,
     dump_jsonl,
     load_jsonl,
-    noisy_proxy,
-    synthetic_landscape,
 )
 from .guided_evolution import (
     EvaluatedModel,

@@ -185,10 +185,6 @@ class SyntheticLandscape:
         return f, f, NOMINAL_TRAIN_SECONDS
 
 
-def synthetic_landscape(seed: int, interaction_scale: float = INTERACTION_SCALE_DEFAULT) -> SyntheticLandscape:
-    return SyntheticLandscape(seed, interaction_scale)
-
-
 # ---------------------------------------------------------------------------
 # Correlation-controlled proxies
 # ---------------------------------------------------------------------------
@@ -263,7 +259,3 @@ class NoisyProxySource:
 
     def score(self, arch, rng=None) -> ProxyScore:
         return ProxyScore(z=float(self.values[_arch_key(arch)]), valid=True, e=())
-
-
-def noisy_proxy(landscape: SyntheticLandscape, rho: float, seed: int) -> NoisyProxySource:
-    return NoisyProxySource(landscape, rho, seed)

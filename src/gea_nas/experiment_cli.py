@@ -8,8 +8,9 @@ Subcommands:
   report  aggregate per-seed SearchResult JSONs into a mean +/- std table,
           one row per method, one column group per dataset.
 
-Every knob can come from a flat key=value config file, with command-line
-flags overriding file values. All randomness flows from the declared seeds,
+Every RunConfig field is both a command-line flag (its name with dashes,
+or the "flag" in its metadata) and a key of a flat key=value config file,
+with flags overriding file values; num_seeds/seed_base build a seed range. All randomness flows from the declared seeds,
 so reruns of the same config reproduce every result byte for byte except
 the "timing" sections, which hold wall-clock measurements.
 """
@@ -21,8 +22,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -52,47 +54,52 @@ from .zero_proxy import (
 
 METHODS = ("gea", "rea", "rs")
 MODES = ("proxy", "mock", "oracle")
+FITNESS = ("synthetic", "bench")
 
 
 class CliError(Exception):
     """Configuration or input problem surfaced to the user with exit code 2."""
 
 
+def _meta(default, help=None, **extra):
+    """A RunConfig field with argparse help and extras (choices, flag)."""
+    return field(default=default, metadata={"help": help, **extra})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flattened experiment description; see the module docstring for flags."""
+    """Flattened experiment description; every field is a flag and a config key."""
 
-    method: str = "gea"
-    mode: str = "oracle"
-    fitness: str = "synthetic"
+    method: str = _meta("gea", choices=METHODS)
+    mode: str = _meta("oracle", "proxy source for gea", choices=MODES)
+    fitness: str = _meta("synthetic", choices=FITNESS)
     landscape_seed: int = 0
     interaction_scale: float = INTERACTION_SCALE_DEFAULT
-    bench_path: str | None = None
+    bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench")
     dataset: str | None = None
-    C: int = 150
-    P: int = 5
-    S: int = 2
-    seeds: tuple[int, ...] = (0,)
-    rho: float | None = None
-    t: float = 1e-5
-    tau: int = 100
+    C: int = _meta(150, "trained-model budget")
+    P: int = _meta(5, "population size / children per cycle")
+    S: int = _meta(2, "tournament sample size")
+    seeds: tuple[int, ...] = _meta((0,), "comma-separated seed list")
+    rho: float | None = _meta(None, "target Spearman for mode=mock")
+    t: float = _meta(1e-5, "log saturation constant")
+    tau: int = _meta(100, "class-count threshold")
     batch_size: int = 32
-    batch_file: str | None = None
+    batch_file: str | None = _meta(None, "raw batch tensor file")
     in_channels: int = 3
     image_hw: int = 8
     stem_channels: int = 8
     num_stages: int = 1
     cells_per_stage: int = 1
     num_classes: int = 10
-    out: str | None = None
+    out: str | None = _meta(None, "output directory (search) or file (sweep)")
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise CliError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.mode not in MODES:
-            raise CliError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.fitness not in ("synthetic", "bench"):
-            raise CliError(f"fitness must be 'synthetic' or 'bench', got {self.fitness!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise CliError(f"{f.name} must be one of {choices}, "
+                               f"got {getattr(self, f.name)!r}")
         if self.fitness == "bench" and not self.bench_path:
             raise CliError("fitness=bench requires --bench with a JSONL path")
         if self.fitness == "bench" and not self.dataset:
@@ -105,17 +112,14 @@ class RunConfig:
         if not self.seeds:
             raise CliError("need at least one seed")
 
-    def skeleton(self) -> SkeletonConfig:
-        return SkeletonConfig(in_channels=self.in_channels, image_hw=self.image_hw,
-                              stem_channels=self.stem_channels, num_stages=self.num_stages,
-                              cells_per_stage=self.cells_per_stage,
-                              num_classes=self.num_classes)
-
     def proxy_config(self) -> ProxyConfig:
-        source = "file" if self.batch_file else "synthetic"
+        skeleton = SkeletonConfig(in_channels=self.in_channels, image_hw=self.image_hw,
+                                  stem_channels=self.stem_channels,
+                                  num_stages=self.num_stages,
+                                  cells_per_stage=self.cells_per_stage,
+                                  num_classes=self.num_classes)
         return ProxyConfig(t=self.t, tau=self.tau, batch_size=self.batch_size,
-                           num_classes=self.num_classes, source=source,
-                           batch_path=self.batch_file, skeleton=self.skeleton())
+                           skeleton=skeleton)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -136,45 +140,70 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_seed_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, e.g. "0,1,2"."""
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise CliError(f"could not parse integer list from {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"could not parse integer list from {text!r}") from None
+
+
+def _option_table() -> dict[str, tuple[str, object, bool, dict]]:
+    """Config key -> (flag, text parser, accepts None, extra argparse kwargs),
+    one entry per RunConfig field plus the seed-range keys."""
+    hints = get_type_hints(RunConfig)
+    table = {}
+    for f in fields(RunConfig):
+        hint = hints[f.name]
+        args = [a for a in get_args(hint) if a is not type(None)]
+        parse = _int_list if hint == tuple[int, ...] else (args[0] if args else hint)
+        extra = {k: v for k, v in f.metadata.items() if k != "flag"}
+        table[f.name] = (f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                         parse, type(None) in get_args(hint), extra)
+    table["num_seeds"] = ("--num-seeds", int, False, {})
+    table["seed_base"] = ("--seed-base", int, False, {})
+    return table
+
+
+_OPTIONS = _option_table()
+
+
+def _coerce(key: str, value, path: str):
+    """Send a config-file value through the parser of its flag."""
+    _, parse, nullable, _ = _OPTIONS[key]
+    if value is None and nullable:
+        return None
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        return parse(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise CliError(f"{path}: invalid value {value!r} for {key!r}") from None
+
+
+def _with_seed_range(values: dict) -> dict:
+    """Replace num_seeds/seed_base by the seed list they describe, unless an
+    explicit seed list is present."""
+    base, count = values.pop("seed_base", None), values.pop("num_seeds", None)
+    if "seeds" not in values and (base is not None or count is not None):
+        base = base or 0
+        count = 1 if count is None else count
+        values["seeds"] = tuple(range(base, base + count))
+    return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults <- config file <- command-line flags."""
     merged: dict = {}
     if args.config:
-        file_values = _parse_config_file(args.config)
-        known = {f.name for f in fields(RunConfig)} | {"num_seeds", "seed_base"}
-        for key in file_values:
-            if key not in known:
+        for key, value in _parse_config_file(args.config).items():
+            if key not in _OPTIONS:
                 raise CliError(f"unknown config key {key!r} in {args.config}")
-        if "seeds" in file_values:
-            v = file_values["seeds"]
-            file_values["seeds"] = tuple(v) if isinstance(v, list) else _parse_seed_list(str(v))
-        if "num_seeds" in file_values or "seed_base" in file_values:
-            base = int(file_values.pop("seed_base", 0))
-            count = int(file_values.pop("num_seeds", 1))
-            file_values.setdefault("seeds", tuple(range(base, base + count)))
-        merged.update(file_values)
-
-    cli_values: dict = {}
-    for f in fields(RunConfig):
-        if f.name == "seeds":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            cli_values[f.name] = value
-    if getattr(args, "seeds", None) is not None:
-        cli_values["seeds"] = _parse_seed_list(args.seeds)
-    elif getattr(args, "num_seeds", None) is not None:
-        base = getattr(args, "seed_base", None) or 0
-        cli_values["seeds"] = tuple(range(base, base + args.num_seeds))
-
-    config = replace(RunConfig(), **{**merged, **cli_values})
+            merged[key] = _coerce(key, value, args.config)
+    cli_values = {key: getattr(args, key) for key in _OPTIONS
+                  if getattr(args, key, None) is not None}
+    config = replace(RunConfig(), **{**_with_seed_range(merged),
+                                     **_with_seed_range(cli_values)})
     config.validate()
     return config
 
@@ -203,12 +232,12 @@ def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int):
     if config.mode == "mock":
         return NoisyProxySource(fitness, config.rho, seed)
     proxy_config = config.proxy_config()
-    if proxy_config.source == "file":
-        batch = read_batch_file(proxy_config.batch_path)
+    if config.batch_file:
+        batch = read_batch_file(config.batch_file)
     else:
         batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         batch = make_batch(proxy_config, batch_rng)
-    return JacobianProxySource(batch, config.skeleton(), proxy_config)
+    return JacobianProxySource(batch, proxy_config)
 
 
 def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
@@ -362,31 +391,8 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--mode", choices=MODES, help="proxy source for gea")
-    p.add_argument("--fitness", choices=("synthetic", "bench"))
-    p.add_argument("--landscape-seed", dest="landscape_seed", type=int)
-    p.add_argument("--interaction-scale", dest="interaction_scale", type=float)
-    p.add_argument("--bench", dest="bench_path", help="benchmark JSONL export")
-    p.add_argument("--dataset")
-    p.add_argument("--C", type=int, help="trained-model budget")
-    p.add_argument("--P", type=int, help="population size / children per cycle")
-    p.add_argument("--S", type=int, help="tournament sample size")
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--num-seeds", dest="num_seeds", type=int)
-    p.add_argument("--seed-base", dest="seed_base", type=int)
-    p.add_argument("--rho", type=float, help="target Spearman for mode=mock")
-    p.add_argument("--t", type=float, help="log saturation constant")
-    p.add_argument("--tau", type=int, help="class-count threshold")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--batch-file", dest="batch_file", help="raw batch tensor file")
-    p.add_argument("--in-channels", dest="in_channels", type=int)
-    p.add_argument("--image-hw", dest="image_hw", type=int)
-    p.add_argument("--stem-channels", dest="stem_channels", type=int)
-    p.add_argument("--num-stages", dest="num_stages", type=int)
-    p.add_argument("--cells-per-stage", dest="cells_per_stage", type=int)
-    p.add_argument("--num-classes", dest="num_classes", type=int)
-    p.add_argument("--out", help="output directory (search) or file (sweep)")
+    for key, (flag, parse, _, extra) in _OPTIONS.items():
+        p.add_argument(flag, dest=key, type=parse, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea")
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--c-values", dest="c_values", required=True,
+    p_sweep.add_argument("--c-values", dest="c_values", type=_int_list, required=True,
                          help="comma-separated C budgets, at least two")
 
     p_report = sub.add_parser("report", help="aggregate result JSONs into a table")
@@ -417,8 +423,7 @@ def main(argv=None) -> int:
         config = build_run_config(args)
         if args.command == "search":
             return cmd_search(config)
-        c_values = tuple(int(v) for v in _parse_seed_list(args.c_values))
-        return cmd_sweep(config, c_values)
+        return cmd_sweep(config, args.c_values)
     except (CliError, JsonlFormatError, BatchFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

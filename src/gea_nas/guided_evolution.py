@@ -1,15 +1,16 @@
 """Aging evolution with proxy-guided child admission, plus baselines.
 
-The guided search keeps a FIFO population of P fitness-evaluated models.
-Initialization samples C random architectures, proxy-scores all of them,
-and only the P best-scoring ones are fitness-evaluated and admitted. Each
-cycle then tournament-selects a parent, generates P mutated children,
-proxy-scores all P, and fitness-evaluates only the top-scoring child, which
-replaces the oldest population member. The run stops once C models have
-been fitness-evaluated, so the training budget is C regardless of P.
+One loop serves all three methods. It samples a pool of random
+architectures and admits some of them to a FIFO population; each cycle then
+tournament-selects a parent, generates mutated children and fitness-evaluates
+only the top-scoring child, which replaces the oldest population member. The
+run stops once C models have been fitness-evaluated, so every method trains
+exactly C models. The three methods are three shapes of that loop:
 
-Baselines under the same budget: plain aging evolution (one child per
-cycle, no proxy) and uniform random sampling.
+  - gea: pool of C proxy-scored candidates, the P best admitted, P
+    proxy-scored children per cycle;
+  - rea: pool of P, all admitted, one child per cycle, no proxy;
+  - rs: pool of C, all admitted, so no cycle ever runs.
 
 Determinism: every stochastic draw comes from a generator derived from the
 config seed; given the same config, proxy, and fitness source, two runs
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
@@ -49,15 +50,12 @@ class EvolutionConfig:
     S: int = 2
     seed: int = 0
     dataset: str = "synthetic"
-    budget_counts: str = "models"
 
     def __post_init__(self) -> None:
         if not 1 <= self.P <= self.C:
             raise ValueError(f"need 1 <= P <= C, got P={self.P} C={self.C}")
         if self.S < 1:
             raise ValueError(f"tournament size must be >= 1, got {self.S}")
-        if self.budget_counts != "models":
-            raise ValueError("only the trained-models budget reading is implemented")
 
 
 @dataclass(frozen=True)
@@ -188,138 +186,96 @@ def tournament_select(population: Population, s: int, rng: np.random.Generator) 
     return best
 
 
-def _argmax_proxy(scores: list[ProxyScore]) -> int:
-    """Index of the best proxy score; earlier index wins ties."""
-    best = 0
-    for i in range(1, len(scores)):
-        if proxy_rank_key(scores[i]) > proxy_rank_key(scores[best]):
-            best = i
-    return best
+def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
+            proxy: Optional[ProxySource], pool: int, keep: int,
+            children: int) -> SearchResult:
+    """The one aging-evolution loop behind gea, rea and rs.
 
-
-def run_search(config: EvolutionConfig, proxy: ProxySource,
-               fitness: FitnessSource) -> SearchResult:
-    """Proxy-guided aging evolution to a budget of C trained models."""
+    Samples ``pool`` random candidates and admits ``keep`` of them (the best
+    by proxy score, or all of them when there is no proxy), then runs cycles
+    of ``children`` mutated children each, admitting the best-scoring child
+    (the only one without a proxy), until C models have been trained.
+    """
     proxy_wall = 0.0
     num_proxy = 0
 
-    def scored(arch: ArchEncoding, rng: np.random.Generator) -> ProxyScore:
+    def scored(arch: ArchEncoding, rng: np.random.Generator) -> Optional[ProxyScore]:
         nonlocal proxy_wall, num_proxy
+        if proxy is None:
+            return None
         tic = time.perf_counter()
         s = proxy.score(arch, rng)
         proxy_wall += time.perf_counter() - tic
         num_proxy += 1
         return s
 
-    # Initialization: C random candidates, keep the P best by proxy score.
-    candidates = []
-    for i in range(config.C):
-        rng = _candidate_rng(config.seed, i)
-        arch = random_arch(rng)
-        candidates.append((arch, scored(arch, rng)))
-    order = sorted(range(config.C), key=lambda i: proxy_rank_key(candidates[i][1]),
-                   reverse=True)
-    kept = sorted(order[:config.P])  # generation order = birth order
-
-    population = Population(config.P)
+    population = Population(keep)
     history: list[EvaluatedModel] = []
-    for gen_idx in kept:
-        arch, score = candidates[gen_idx]
+
+    def admit(arch: ArchEncoding, score: Optional[ProxyScore]) -> None:
         val, test, secs = fitness.evaluate(arch, config.dataset)
         model = EvaluatedModel(arch=arch, fitness=val, test_acc=test,
                                birth=len(history), train_seconds=secs, proxy=score)
         population.push(model)
         history.append(model)
 
+    candidates = []
+    for i in range(pool):
+        rng = _candidate_rng(config.seed, i)
+        arch = random_arch(rng)
+        candidates.append((arch, scored(arch, rng)))
+    kept = range(keep)
+    if proxy is not None:
+        order = sorted(range(pool), key=lambda i: proxy_rank_key(candidates[i][1]),
+                       reverse=True)
+        kept = sorted(order[:keep])  # generation order = birth order
+    for i in kept:
+        admit(*candidates[i])
+
     main_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     cycle_log: list[CycleLog] = []
-    cycle = 0
     while len(history) < config.C:
+        cycle = len(cycle_log)
         parent = tournament_select(population, config.S, main_rng)
-        children: list[ArchEncoding] = []
-        scores: list[ProxyScore] = []
-        for j in range(config.P):
+        logs = []
+        for j in range(children):
             rng = _child_rng(config.seed, cycle, j)
             child = mutate(parent.arch, rng)
-            children.append(child)
-            scores.append(scored(child, rng))
-        admit = _argmax_proxy(scores)
-        val, test, secs = fitness.evaluate(children[admit], config.dataset)
-        model = EvaluatedModel(arch=children[admit], fitness=val, test_acc=test,
-                               birth=len(history), train_seconds=secs,
-                               proxy=scores[admit])
+            logs.append(ChildLog(child, scored(child, rng)))
+        # Best proxy score, earlier child winning ties.
+        best = 0 if proxy is None else max(range(children),
+                                            key=lambda j: proxy_rank_key(logs[j].proxy))
         population.pop_oldest()
-        population.push(model)
-        history.append(model)
+        admit(logs[best].arch, logs[best].proxy)
         cycle_log.append(CycleLog(
             cycle=cycle, parent_birth=parent.birth, parent_arch=parent.arch,
-            children=tuple(ChildLog(a, s) for a, s in zip(children, scores)),
-            admitted_index=admit,
+            children=tuple(logs), admitted_index=best,
             population_births=tuple(m.birth for m in population.members())))
-        cycle += 1
 
     return SearchResult(
-        method="gea", config=config, history=history, cycle_log=cycle_log,
+        method=method, config=config, history=history, cycle_log=cycle_log,
         best=best_of(history), num_proxy_evals=num_proxy,
         num_fitness_evals=len(history),
         train_seconds_total=sum(m.train_seconds for m in history),
         proxy_wall_seconds=proxy_wall)
 
 
+def run_search(config: EvolutionConfig, proxy: ProxySource,
+               fitness: FitnessSource) -> SearchResult:
+    """Proxy-guided aging evolution: keep the P best of C proxy-scored
+    candidates, then P proxy-scored children per cycle."""
+    return _evolve("gea", config, fitness, proxy, config.C, config.P, config.P)
+
+
 def run_rea_baseline(config: EvolutionConfig, fitness: FitnessSource) -> SearchResult:
     """Plain aging evolution: P random initial models, one mutated child per
-    cycle, no proxy anywhere. Same C-model training budget as run_search."""
-    population = Population(config.P)
-    history: list[EvaluatedModel] = []
-    for i in range(config.P):
-        rng = _candidate_rng(config.seed, i)
-        arch = random_arch(rng)
-        val, test, secs = fitness.evaluate(arch, config.dataset)
-        model = EvaluatedModel(arch=arch, fitness=val, test_acc=test,
-                               birth=len(history), train_seconds=secs)
-        population.push(model)
-        history.append(model)
-
-    main_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
-    cycle_log: list[CycleLog] = []
-    cycle = 0
-    while len(history) < config.C:
-        parent = tournament_select(population, config.S, main_rng)
-        child = mutate(parent.arch, _child_rng(config.seed, cycle, 0))
-        val, test, secs = fitness.evaluate(child, config.dataset)
-        model = EvaluatedModel(arch=child, fitness=val, test_acc=test,
-                               birth=len(history), train_seconds=secs)
-        population.pop_oldest()
-        population.push(model)
-        history.append(model)
-        cycle_log.append(CycleLog(
-            cycle=cycle, parent_birth=parent.birth, parent_arch=parent.arch,
-            children=(ChildLog(child, None),), admitted_index=0,
-            population_births=tuple(m.birth for m in population.members())))
-        cycle += 1
-
-    return SearchResult(
-        method="rea", config=config, history=history, cycle_log=cycle_log,
-        best=best_of(history), num_proxy_evals=0, num_fitness_evals=len(history),
-        train_seconds_total=sum(m.train_seconds for m in history),
-        proxy_wall_seconds=0.0)
+    cycle, no proxy anywhere."""
+    return _evolve("rea", config, fitness, None, config.P, config.P, 1)
 
 
 def run_random_baseline(config: EvolutionConfig, fitness: FitnessSource) -> SearchResult:
     """C architectures sampled uniformly at random, all fitness-evaluated."""
-    history: list[EvaluatedModel] = []
-    for i in range(config.C):
-        rng = _candidate_rng(config.seed, i)
-        arch = random_arch(rng)
-        val, test, secs = fitness.evaluate(arch, config.dataset)
-        history.append(EvaluatedModel(arch=arch, fitness=val, test_acc=test,
-                                      birth=len(history), train_seconds=secs))
-
-    return SearchResult(
-        method="rs", config=config, history=history, cycle_log=[],
-        best=best_of(history), num_proxy_evals=0, num_fitness_evals=len(history),
-        train_seconds_total=sum(m.train_seconds for m in history),
-        proxy_wall_seconds=0.0)
+    return _evolve("rs", config, fitness, None, config.C, config.C, 0)
 
 
 def best_of(history: list[EvaluatedModel]) -> EvaluatedModel:

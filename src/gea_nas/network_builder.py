@@ -24,8 +24,6 @@ import numpy as np
 from .arch_space import EDGES, ArchEncoding, Operation
 from .autodiff_core import CompGraph
 
-WeightKey = tuple[object, int, str]
-
 
 @dataclass(frozen=True)
 class SkeletonConfig:
@@ -37,7 +35,6 @@ class SkeletonConfig:
     num_stages: int = 1
     cells_per_stage: int = 1
     num_classes: int = 10
-    init_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.in_channels < 1 or self.image_hw < 1:
@@ -63,19 +60,16 @@ def jacobian_input_dim(skeleton: SkeletonConfig) -> int:
 
 @dataclass
 class MicroNetwork:
-    """A built network: the graph plus its weights and the skeleton it used.
-
-    ``weights`` is keyed by (part, edge, name) where part is a cell index
-    for cell weights and "stem"/"head" otherwise (edge fixed at 0 there).
-    """
+    """A built network: the graph (whose records hold the weights) plus the
+    skeleton and architecture it was built from."""
 
     graph: CompGraph
-    weights: dict[WeightKey, np.ndarray]
     skeleton: SkeletonConfig
     arch: ArchEncoding
 
     def param_count(self) -> int:
-        return sum(w.size for w in self.weights.values())
+        return sum(p.size for r in self.graph.records
+                   for p in (r.weight, r.bias) if p is not None)
 
 
 def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarray:
@@ -89,22 +83,19 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
 
     Deterministic: weights are drawn from ``rng`` in a fixed order (stem,
     then cells in depth order with edges in index order, then head), and
-    ``rng`` defaults to a generator seeded with skeleton.init_seed.
+    ``rng`` defaults to ``default_rng(0)``.
     """
     skeleton = skeleton if skeleton is not None else SkeletonConfig()
-    rng = rng if rng is not None else np.random.default_rng(skeleton.init_seed)
+    rng = rng if rng is not None else np.random.default_rng(0)
 
     graph = CompGraph()
-    weights: dict[WeightKey, np.ndarray] = {}
     cs = skeleton.stem_channels
 
-    stem_w = _he_conv(rng, cs, skeleton.in_channels, 3)
-    weights[("stem", 0, "conv_w")] = stem_w
-    cur = graph.add("conv", 0, weight=stem_w)
+    cur = graph.add("conv", 0, weight=_he_conv(rng, cs, skeleton.in_channels, 3))
     cur = graph.add("bn", cur)
 
     num_cells = skeleton.num_stages * skeleton.cells_per_stage
-    for cell_idx in range(num_cells):
+    for _ in range(num_cells):
         nodes = [cur]
         for node in range(1, 4):
             parts: list[int] = []
@@ -120,10 +111,8 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
                     parts.append(graph.add("avg_pool", nodes[src]))
                 else:
                     k = 1 if op is Operation.NOR_CONV_1X1 else 3
-                    w = _he_conv(rng, cs, cs, k)
-                    weights[(cell_idx, edge_idx, "conv_w")] = w
                     rid = graph.add("relu", nodes[src])
-                    rid = graph.add("conv", rid, weight=w)
+                    rid = graph.add("conv", rid, weight=_he_conv(rng, cs, cs, k))
                     parts.append(graph.add("bn", rid))
             if not parts:
                 nodes.append(graph.add("zeros", nodes[0]))
@@ -134,12 +123,9 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
         cur = nodes[3]
 
     head_w = rng.normal(0.0, np.sqrt(2.0 / cs), size=(cs, skeleton.num_classes))
-    head_b = np.zeros(skeleton.num_classes)
-    weights[("head", 0, "linear_w")] = head_w
-    weights[("head", 0, "linear_b")] = head_b
     cur = graph.add("bn", cur)
     cur = graph.add("relu", cur)
     cur = graph.add("gap", cur)
-    graph.add("linear", cur, weight=head_w, bias=head_b)
+    graph.add("linear", cur, weight=head_w, bias=np.zeros(skeleton.num_classes))
 
-    return MicroNetwork(graph=graph, weights=weights, skeleton=skeleton, arch=arch)
+    return MicroNetwork(graph=graph, skeleton=skeleton, arch=arch)

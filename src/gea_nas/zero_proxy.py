@@ -63,14 +63,14 @@ class Batch:
 
 @dataclass(frozen=True)
 class ProxyConfig:
-    """Scoring knobs; t and tau gate the log saturation and the large-K branch."""
+    """Scoring knobs; t and tau gate the log saturation and the large-K branch.
+
+    ``skeleton`` shapes both the scored network and the synthetic batch
+    (input shape and class count)."""
 
     t: float = T_DEFAULT
     tau: int = TAU_DEFAULT
     batch_size: int = 32
-    num_classes: int = 10
-    source: str = "synthetic"
-    batch_path: str | None = None
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
 
     def __post_init__(self) -> None:
@@ -78,10 +78,6 @@ class ProxyConfig:
             raise ValueError(f"t must be positive, got {self.t}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.source not in ("synthetic", "file"):
-            raise ValueError(f"unknown batch source {self.source!r}")
-        if self.source == "file" and not self.batch_path:
-            raise ValueError("file source requires batch_path")
 
 
 @dataclass(frozen=True)
@@ -184,13 +180,11 @@ def aggregate(e, num_classes: int, config: ProxyConfig) -> float:
 
 
 def score_architecture(arch: ArchEncoding, batch: Batch,
-                       skeleton: SkeletonConfig | None = None,
                        config: ProxyConfig | None = None,
                        rng: np.random.Generator | None = None) -> ProxyScore:
     """Full scoring pipeline; never raises on degenerate architectures."""
     config = config if config is not None else ProxyConfig()
-    skeleton = skeleton if skeleton is not None else config.skeleton
-    net = build_network(arch, skeleton, rng)
+    net = build_network(arch, config.skeleton, rng)
     jac = compute_jacobian(net, batch)
     if jac.degenerate:
         return INVALID_SCORE
@@ -213,14 +207,12 @@ class JacobianProxySource:
     scoring stays deterministic and order-independent across children.
     """
 
-    def __init__(self, batch: Batch, skeleton: SkeletonConfig | None = None,
-                 config: ProxyConfig | None = None):
+    def __init__(self, batch: Batch, config: ProxyConfig | None = None):
         self.batch = batch
         self.config = config if config is not None else ProxyConfig()
-        self.skeleton = skeleton if skeleton is not None else self.config.skeleton
 
     def score(self, arch: ArchEncoding, rng: np.random.Generator) -> ProxyScore:
-        return score_architecture(arch, self.batch, self.skeleton, self.config, rng)
+        return score_architecture(arch, self.batch, self.config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +221,11 @@ class JacobianProxySource:
 
 
 def make_batch(config: ProxyConfig, rng: np.random.Generator | None = None) -> Batch:
-    """Synthetic mode: K Gaussian class means in input space, samples = mean +
-    0.5 * noise, labels round-robin so class sizes differ by at most one.
-    File mode: load the raw tensor file at config.batch_path."""
-    if config.source == "file":
-        return read_batch_file(config.batch_path)
+    """Synthetic batch shaped by config.skeleton: K Gaussian class means in
+    input space, samples = mean + 0.5 * noise, labels round-robin so class
+    sizes differ by at most one."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    n, k = config.batch_size, config.num_classes
+    n, k = config.batch_size, config.skeleton.num_classes
     if n < k:
         raise ValueError(f"stratified batch needs N >= K, got N={n} K={k}")
     c, h, w = config.skeleton.input_shape

@@ -16,8 +16,6 @@ from gea_nas.benchmark_store import (
     TabularStore,
     dump_jsonl,
     load_jsonl,
-    noisy_proxy,
-    synthetic_landscape,
 )
 
 ALL_NONE_STR = "|none~0|+|none~0|none~1|+|none~0|none~1|none~2|"
@@ -122,7 +120,7 @@ def test_completeness_flag(tmp_path):
 
 def test_landscape_deterministic_and_bounded():
     a = SyntheticLandscape(3)
-    b = synthetic_landscape(3)
+    b = SyntheticLandscape(3)
     assert np.array_equal(a.fitness, b.fitness)
     assert a.fitness.min() == 0.0 and a.fitness.max() == 100.0
     assert len(np.unique(a.fitness)) >= 100
@@ -147,7 +145,7 @@ def test_landscape_evaluate_interface():
 
 def test_noisy_proxy_rho_one_matches_fitness_ranking():
     land = SyntheticLandscape(7)
-    proxy = noisy_proxy(land, 1.0, seed=0)
+    proxy = NoisyProxySource(land, 1.0, seed=0)
     assert spearmanr(proxy.values, land.fitness).statistic == pytest.approx(1.0)
 
 

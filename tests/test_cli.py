@@ -12,7 +12,7 @@ from gea_nas.benchmark_store import (
     TabularStore,
     dump_jsonl,
 )
-from gea_nas.experiment_cli import main, mean_std
+from gea_nas.experiment_cli import build_parser, build_run_config, main, mean_std
 from gea_nas.zero_proxy import Batch, write_batch_file
 
 
@@ -163,6 +163,56 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code = main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown config key 'budget'" in capsys.readouterr().err
+
+
+# One value per RunConfig field, written with the flag spellings of the CLI.
+EVERY_FIELD = {"method": "rea", "mode": "proxy", "fitness": "bench", "landscape_seed": 3,
+               "interaction_scale": 0.25, "bench_path": "b.jsonl", "dataset": "cifar10",
+               "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "rho": 0.5, "t": 0.0001,
+               "tau": 7, "batch_size": 16, "batch_file": "x.bin", "in_channels": 1,
+               "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
+               "num_classes": 5, "out": "o"}
+
+
+def as_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def parsed(argv):
+    return build_run_config(build_parser().parse_args(argv))
+
+
+def test_every_flag_sets_its_field():
+    argv = ["search"]
+    for key, value in EVERY_FIELD.items():
+        flag = "--bench" if key == "bench_path" else "--" + key.replace("_", "-")
+        argv += [flag, as_text(value)]
+    config = parsed(argv)
+    assert {key: getattr(config, key) for key in EVERY_FIELD} == EVERY_FIELD
+
+
+def test_every_config_key_sets_its_field(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {as_text(value)}\n" for key, value in EVERY_FIELD.items()))
+    config = parsed(["search", "--config", str(cfg)])
+    assert {key: getattr(config, key) for key in EVERY_FIELD} == EVERY_FIELD
+
+
+def test_seed_range_flags():
+    assert parsed(["search", "--num-seeds", "2", "--seed-base", "3"]).seeds == (3, 4)
+    assert parsed(["search", "--num-seeds", "2"]).seeds == (0, 1)
+    assert parsed(["search", "--seeds", "8", "--num-seeds", "2"]).seeds == (8,)
+
+
+@pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
+                                  'mode = "mock"\nrho = "hi"\n'],
+                         ids=["C-not-int", "P-not-int", "rho-not-float"])
+def test_bad_config_value_is_an_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
 
 
 def test_mock_mode_requires_rho(tmp_path, capsys):

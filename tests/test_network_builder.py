@@ -80,22 +80,23 @@ def test_param_count_multi_cell():
     sk = SkeletonConfig(num_stages=2, cells_per_stage=2)
     net = build_network(ALL_3X3, sk)
     assert net.param_count() == expected_param_count(ALL_3X3, sk)
-    cells = {key[0] for key in net.weights if isinstance(key[0], int)}
-    assert cells == {0, 1, 2, 3}
+    convs = [r for r in net.graph.records if r.kind == "conv"]
+    assert len(convs) == 1 + 6 * 4  # stem plus six 3x3 edges in each of four cells
     out = net.graph.forward(np.random.default_rng(3).normal(size=(2, 3, 8, 8)))
     assert out.shape == (2, 10)
 
 
 def test_build_deterministic():
-    a = build_network(ALL_3X3, SkeletonConfig(init_seed=9))
-    b = build_network(ALL_3X3, SkeletonConfig(init_seed=9))
-    assert set(a.weights) == set(b.weights)
-    for key in a.weights:
-        assert np.array_equal(a.weights[key], b.weights[key])
+    a = build_network(ALL_3X3, rng=np.random.default_rng(9))
+    b = build_network(ALL_3X3, rng=np.random.default_rng(9))
     assert [r.kind for r in a.graph.records] == [r.kind for r in b.graph.records]
-    c = build_network(ALL_3X3, SkeletonConfig(init_seed=10))
-    assert not np.array_equal(a.weights[("stem", 0, "conv_w")],
-                              c.weights[("stem", 0, "conv_w")])
+    for ra, rb in zip(a.graph.records, b.graph.records):
+        for pa, pb in ((ra.weight, rb.weight), (ra.bias, rb.bias)):
+            assert (pa is None) == (pb is None)
+            assert pa is None or np.array_equal(pa, pb)
+    c = build_network(ALL_3X3, rng=np.random.default_rng(10))
+    stem = 1  # record 0 is the input
+    assert not np.array_equal(a.graph.records[stem].weight, c.graph.records[stem].weight)
 
 
 def test_none_edge_differs_only_by_branch():
@@ -136,10 +137,12 @@ def test_forward_finite_logits_random_archs():
 
 
 def test_he_init_scale():
-    net = build_network(ALL_3X3, SkeletonConfig(init_seed=0))
-    cell_weights = np.concatenate([w.ravel() for key, w in net.weights.items()
-                                   if isinstance(key[0], int)])
+    net = build_network(ALL_3X3, rng=np.random.default_rng(0))
+    records = net.graph.records
+    cell_weights = np.concatenate([r.weight.ravel() for r in records[2:]  # past the stem
+                                   if r.kind == "conv"])
     expected_std = np.sqrt(2.0 / (8 * 9))
     assert abs(cell_weights.std() - expected_std) / expected_std < 0.05
     assert abs(cell_weights.mean()) < 0.01
-    assert np.array_equal(net.weights[("head", 0, "linear_b")], np.zeros(10))
+    assert records[-1].kind == "linear"
+    assert np.array_equal(records[-1].bias, np.zeros(10))

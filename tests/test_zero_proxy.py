@@ -27,7 +27,7 @@ ALL_NONE = ArchEncoding((Operation.NONE,) * 6)
 
 
 def small_batch(seed=0, n=16, k=4):
-    return make_batch(ProxyConfig(batch_size=n, num_classes=k),
+    return make_batch(ProxyConfig(batch_size=n, skeleton=SkeletonConfig(num_classes=k)),
                       np.random.default_rng(seed))
 
 
@@ -49,8 +49,7 @@ def test_batch_validation():
 
 
 def test_make_batch_stratified_sizes():
-    batch = make_batch(ProxyConfig(batch_size=32, num_classes=10),
-                       np.random.default_rng(1))
+    batch = make_batch(ProxyConfig(batch_size=32), np.random.default_rng(1))
     counts = np.bincount(batch.labels, minlength=10)
     assert sorted(counts) == [3] * 8 + [4] * 2
 
@@ -64,7 +63,7 @@ def test_make_batch_deterministic():
 
 def test_make_batch_needs_n_ge_k():
     with pytest.raises(ValueError, match="N >= K"):
-        make_batch(ProxyConfig(batch_size=5, num_classes=10), np.random.default_rng(0))
+        make_batch(ProxyConfig(batch_size=5), np.random.default_rng(0))
 
 
 def test_proxy_config_validation():
@@ -72,10 +71,6 @@ def test_proxy_config_validation():
         ProxyConfig(t=0.0)
     with pytest.raises(ValueError):
         ProxyConfig(tau=0)
-    with pytest.raises(ValueError):
-        ProxyConfig(source="cifar")
-    with pytest.raises(ValueError):
-        ProxyConfig(source="file")  # needs batch_path
 
 
 # --- batch files -----------------------------------------------------------
@@ -142,8 +137,7 @@ def _linear_head_net(seed=7, with_relu=False):
         rid = g.add("relu", rid)
     w = rng.normal(size=(192, sk.num_classes))
     g.add("linear", rid, weight=w, bias=np.zeros(sk.num_classes))
-    return MicroNetwork(graph=g, weights={("head", 0, "linear_w"): w},
-                        skeleton=sk, arch=ALL_NONE)
+    return MicroNetwork(graph=g, skeleton=sk, arch=ALL_NONE)
 
 
 def test_linear_head_rows_identical():
