@@ -19,7 +19,7 @@ reporting only and must never influence selection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +53,10 @@ class BenchRecord:
     val_acc: float
     test_acc: float
     train_seconds: float
+    index: int = field(init=False, repr=False)  # space index of arch, parsed once
 
     def __post_init__(self) -> None:
-        parse_str(self.arch)
+        object.__setattr__(self, "index", parse_str(self.arch).index)
         if not 0.0 <= self.val_acc <= 100.0:
             raise ValueError(f"val_acc out of [0, 100]: {self.val_acc}")
         if not 0.0 <= self.test_acc <= 100.0:
@@ -77,7 +78,7 @@ class TabularStore:
         self._records: dict[tuple[int, str], BenchRecord] = {}
         counts: dict[str, int] = {}
         for rec in records:
-            key = (_arch_key(rec.arch), rec.dataset)
+            key = (rec.index, rec.dataset)
             if key in self._records:
                 raise ValueError(f"duplicate record for {rec.arch!r} on {rec.dataset!r}")
             self._records[key] = rec
@@ -127,7 +128,7 @@ def load_jsonl(path: str | Path) -> TabularStore:
                                   train_seconds=float(obj["train_seconds"]))
             except (CellParseError, ValueError, TypeError) as exc:
                 raise JsonlFormatError(f"line {lineno}: {exc}") from None
-            key = (_arch_key(rec.arch), rec.dataset)
+            key = (rec.index, rec.dataset)
             if key in seen:
                 raise JsonlFormatError(
                     f"line {lineno}: duplicate record for {rec.arch!r} on {rec.dataset!r}")

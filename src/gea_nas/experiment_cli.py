@@ -8,11 +8,15 @@ Subcommands:
   report  aggregate per-seed SearchResult JSONs into a mean +/- std table,
           one row per method, one column group per dataset.
 
-Every RunConfig field is both a command-line flag (its name with dashes,
-or the "flag" in its metadata) and a key of a flat key=value config file,
-with flags overriding file values; num_seeds/seed_base build a seed range. All randomness flows from the declared seeds,
-so reruns of the same config reproduce every result byte for byte except
-the "timing" sections, which hold wall-clock measurements.
+RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
+ProxyConfig (t, tau, batch_size and the network's SkeletonConfig). Each of
+their fields, bar the nested configs and the seed and dataset every run sets,
+is a command-line flag (its name with dashes, or the "flag" in its metadata)
+and a key of a flat key=value config file; flags override file values and
+num_seeds/seed_base build a seed range. Each config is built once and checks
+its own values before any output is written. All randomness flows from the
+declared seeds, so reruns of the same config reproduce every result byte for
+byte except the "timing" sections, which hold wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def _meta(default, help=None, **extra):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flattened experiment description; every field is a flag and a config key."""
+    """Experiment description; holds the configs of the search and the proxy."""
 
     method: str = _meta("gea", choices=METHODS)
     mode: str = _meta("oracle", "proxy source for gea", choices=MODES)
@@ -77,22 +81,12 @@ class RunConfig:
     interaction_scale: float = INTERACTION_SCALE_DEFAULT
     bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench")
     dataset: str | None = None
-    C: int = _meta(150, "trained-model budget")
-    P: int = _meta(5, "population size / children per cycle")
-    S: int = _meta(2, "tournament sample size")
     seeds: tuple[int, ...] = _meta((0,), "comma-separated seed list")
     rho: float | None = _meta(None, "target Spearman for mode=mock")
-    t: float = _meta(1e-5, "log saturation constant")
-    tau: int = _meta(100, "class-count threshold")
-    batch_size: int = 32
     batch_file: str | None = _meta(None, "raw batch tensor file")
-    in_channels: int = 3
-    image_hw: int = 8
-    stem_channels: int = 8
-    num_stages: int = 1
-    cells_per_stage: int = 1
-    num_classes: int = 10
     out: str | None = _meta(None, "output directory (search) or file (sweep)")
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+    proxy: ProxyConfig = field(default_factory=ProxyConfig)
 
     def validate(self) -> None:
         for f in fields(self):
@@ -106,20 +100,13 @@ class RunConfig:
             raise CliError("fitness=bench requires --dataset")
         if self.mode == "mock" and self.rho is None:
             raise CliError("mode=mock requires --rho")
+        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
+            raise CliError(f"rho must lie in [0, 1], got {self.rho}")
         if self.mode == "mock" and self.fitness != "synthetic":
             raise CliError("mode=mock calibrates against a synthetic landscape; "
                            "use fitness=synthetic")
         if not self.seeds:
             raise CliError("need at least one seed")
-
-    def proxy_config(self) -> ProxyConfig:
-        skeleton = SkeletonConfig(in_channels=self.in_channels, image_hw=self.image_hw,
-                                  stem_channels=self.stem_channels,
-                                  num_stages=self.num_stages,
-                                  cells_per_stage=self.cells_per_stage,
-                                  num_classes=self.num_classes)
-        return ProxyConfig(t=self.t, tau=self.tau, batch_size=self.batch_size,
-                           skeleton=skeleton)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -149,20 +136,29 @@ def _int_list(text: str) -> tuple[int, ...]:
             f"could not parse integer list from {text!r}") from None
 
 
-def _option_table() -> dict[str, tuple[str, object, bool, dict]]:
-    """Config key -> (flag, text parser, accepts None, extra argparse kwargs),
-    one entry per RunConfig field plus the seed-range keys."""
-    hints = get_type_hints(RunConfig)
+# Each config whose fields are flags, with the fields that are not: the
+# nested configs, and the seed and dataset that every run sets itself.
+_CONFIGS = ((RunConfig, ("evolution", "proxy")), (EvolutionConfig, ("seed", "dataset")),
+            (ProxyConfig, ("skeleton",)), (SkeletonConfig, ()))
+
+
+def _option_table() -> dict[str, tuple[type | None, str, object, bool, dict]]:
+    """Config key -> (owning config, flag, text parser, accepts None, extra
+    argparse kwargs), one entry per flag field plus the seed-range keys."""
     table = {}
-    for f in fields(RunConfig):
-        hint = hints[f.name]
-        args = [a for a in get_args(hint) if a is not type(None)]
-        parse = _int_list if hint == tuple[int, ...] else (args[0] if args else hint)
-        extra = {k: v for k, v in f.metadata.items() if k != "flag"}
-        table[f.name] = (f.metadata.get("flag", "--" + f.name.replace("_", "-")),
-                         parse, type(None) in get_args(hint), extra)
-    table["num_seeds"] = ("--num-seeds", int, False, {})
-    table["seed_base"] = ("--seed-base", int, False, {})
+    for owner, skipped in _CONFIGS:
+        hints = get_type_hints(owner)
+        for f in fields(owner):
+            if f.name in skipped:
+                continue
+            hint = hints[f.name]
+            args = [a for a in get_args(hint) if a is not type(None)]
+            parse = _int_list if hint == tuple[int, ...] else (args[0] if args else hint)
+            extra = {k: v for k, v in f.metadata.items() if k != "flag"}
+            table[f.name] = (owner, f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                             parse, type(None) in get_args(hint), extra)
+    table["num_seeds"] = (None, "--num-seeds", int, False, {})
+    table["seed_base"] = (None, "--seed-base", int, False, {})
     return table
 
 
@@ -171,7 +167,7 @@ _OPTIONS = _option_table()
 
 def _coerce(key: str, value, path: str):
     """Send a config-file value through the parser of its flag."""
-    _, parse, nullable, _ = _OPTIONS[key]
+    _, _, parse, nullable, _ = _OPTIONS[key]
     if value is None and nullable:
         return None
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -193,7 +189,8 @@ def _with_seed_range(values: dict) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults <- config file <- command-line flags."""
+    """Merge defaults <- config file <- command-line flags, then build each
+    config from its own values, so its validator runs before any output."""
     merged: dict = {}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
@@ -202,8 +199,16 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = _coerce(key, value, args.config)
     cli_values = {key: getattr(args, key) for key in _OPTIONS
                   if getattr(args, key, None) is not None}
-    config = replace(RunConfig(), **{**_with_seed_range(merged),
-                                     **_with_seed_range(cli_values)})
+    values = {**_with_seed_range(merged), **_with_seed_range(cli_values)}
+    if getattr(args, "c_values", None):  # a sweep's budgets stand in for C
+        values["C"] = min(args.c_values)
+
+    def own(owner) -> dict:
+        return {k: v for k, v in values.items() if _OPTIONS[k][0] is owner}
+
+    proxy = ProxyConfig(**own(ProxyConfig), skeleton=SkeletonConfig(**own(SkeletonConfig)))
+    config = RunConfig(**own(RunConfig), evolution=EvolutionConfig(**own(EvolutionConfig)),
+                       proxy=proxy)
     config.validate()
     return config
 
@@ -231,19 +236,20 @@ def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int):
         return OracleProxySource(fitness, dataset)
     if config.mode == "mock":
         return NoisyProxySource(fitness, config.rho, seed)
-    proxy_config = config.proxy_config()
     if config.batch_file:
         batch = read_batch_file(config.batch_file)
+        if batch.num_classes != config.proxy.skeleton.num_classes:
+            raise CliError(f"{config.batch_file} has {batch.num_classes} classes but "
+                           f"num_classes is {config.proxy.skeleton.num_classes}")
     else:
         batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-        batch = make_batch(proxy_config, batch_rng)
-    return JacobianProxySource(batch, proxy_config)
+        batch = make_batch(config.proxy, batch_rng)
+    return JacobianProxySource(batch, config.proxy)
 
 
 def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
-             method: str, C: int | None = None) -> SearchResult:
-    evo = EvolutionConfig(C=C if C is not None else config.C, P=config.P,
-                          S=config.S, seed=seed, dataset=dataset)
+             method: str, C: int) -> SearchResult:
+    evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
     if method == "gea":
         proxy = _proxy_source(config, fitness, dataset, seed)
         return run_search(evo, proxy, fitness)
@@ -286,6 +292,7 @@ def aggregate_report(method: str, dataset: str, results: list[SearchResult]) -> 
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -298,11 +305,10 @@ def cmd_search(config: RunConfig) -> int:
     if not config.out:
         raise CliError("search requires --out DIR for result files")
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     fitness, dataset = _fitness_source(config)
     results = []
     for seed in config.seeds:
-        result = _run_one(config, fitness, dataset, seed, config.method)
+        result = _run_one(config, fitness, dataset, seed, config.method, config.evolution.C)
         results.append(result)
         _write_json(out_dir / f"{config.method}_seed{seed}.json", result.to_json_dict())
     _write_json(out_dir / f"{config.method}_report.json",
@@ -317,20 +323,20 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
     fitness, dataset = _fitness_source(config)
+    rows = []
+    for c in c_values:
+        for seed in config.seeds:
+            for method in ("gea", "rea"):
+                r = _run_one(config, fitness, dataset, seed, method, c)
+                rows.append([method, c, seed, r.best.fitness, r.best.test_acc,
+                             r.sim_time_seconds])
     out_path = Path(config.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "C", "seed", "val_acc", "test_acc", "sim_time"])
-        for c in c_values:
-            for seed in config.seeds:
-                for method in ("gea", "rea"):
-                    r = _run_one(config, fitness, dataset, seed, method, C=c)
-                    writer.writerow([method, c, seed, r.best.fitness,
-                                     r.best.test_acc, r.sim_time_seconds])
-    rows = 2 * len(c_values) * len(config.seeds)
-    print(f"wrote {rows} sweep rows to {out_path}")
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} sweep rows to {out_path}")
     return 0
 
 
@@ -391,7 +397,7 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    for key, (flag, parse, _, extra) in _OPTIONS.items():
+    for key, (_, flag, parse, _, extra) in _OPTIONS.items():
         p.add_argument(flag, dest=key, type=parse, **extra)
 
 

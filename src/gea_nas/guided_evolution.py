@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
@@ -45,9 +45,9 @@ class FitnessSource(Protocol):
 class EvolutionConfig:
     """Search budget and shape: C trained models, population P, tournament S."""
 
-    C: int = 150
-    P: int = 5
-    S: int = 2
+    C: int = field(default=150, metadata={"help": "trained-model budget"})
+    P: int = field(default=5, metadata={"help": "population size / children per cycle"})
+    S: int = field(default=2, metadata={"help": "tournament sample size"})
     seed: int = 0
     dataset: str = "synthetic"
 
@@ -177,13 +177,8 @@ def tournament_select(population: Population, s: int, rng: np.random.Generator) 
     """S draws with replacement; returns the max-fitness draw, earliest birth
     winning ties."""
     members = population.members()
-    best = None
-    for _ in range(s):
-        pick = members[int(rng.integers(len(members)))]
-        if best is None or pick.fitness > best.fitness or \
-                (pick.fitness == best.fitness and pick.birth < best.birth):
-            best = pick
-    return best
+    picks = [members[int(rng.integers(len(members)))] for _ in range(s)]
+    return max(picks, key=lambda m: (m.fitness, -m.birth))
 
 
 def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
@@ -280,8 +275,4 @@ def run_random_baseline(config: EvolutionConfig, fitness: FitnessSource) -> Sear
 
 def best_of(history: list[EvaluatedModel]) -> EvaluatedModel:
     """Highest validation fitness; earliest birth wins ties."""
-    best = history[0]
-    for m in history[1:]:
-        if m.fitness > best.fitness:
-            best = m
-    return best
+    return max(history, key=lambda m: m.fitness)

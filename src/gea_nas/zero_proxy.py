@@ -22,9 +22,6 @@ import numpy as np
 from .arch_space import ArchEncoding
 from .network_builder import MicroNetwork, SkeletonConfig, build_network, jacobian_input_dim
 
-T_DEFAULT = 1e-5
-TAU_DEFAULT = 100
-
 _HEADER = struct.Struct("<5i")  # N, C, H, W, K
 
 
@@ -68,8 +65,8 @@ class ProxyConfig:
     ``skeleton`` shapes both the scored network and the synthetic batch
     (input shape and class count)."""
 
-    t: float = T_DEFAULT
-    tau: int = TAU_DEFAULT
+    t: float = field(default=1e-5, metadata={"help": "log saturation constant"})
+    tau: int = field(default=100, metadata={"help": "class-count threshold"})
     batch_size: int = 32
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
 
@@ -78,6 +75,8 @@ class ProxyConfig:
             raise ValueError(f"t must be positive, got {self.t}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass(frozen=True)

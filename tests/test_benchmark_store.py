@@ -102,6 +102,7 @@ def test_dump_load_roundtrip(tmp_path):
                            dataset="cifar10", val_acc=float(i % 100),
                            test_acc=float((i * 7) % 100), train_seconds=float(i))
                for i in (0, 5, 4242, 15624)]
+    assert [r.index for r in records] == [0, 5, 4242, 15624]
     store = TabularStore(records)
     path = tmp_path / "roundtrip.jsonl"
     dump_jsonl(store, path)

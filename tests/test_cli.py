@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from gea_nas.benchmark_store import (
     TabularStore,
     dump_jsonl,
 )
-from gea_nas.experiment_cli import build_parser, build_run_config, main, mean_std
+from gea_nas.experiment_cli import _OPTIONS, build_parser, build_run_config, main, mean_std
 from gea_nas.zero_proxy import Batch, write_batch_file
 
 
@@ -101,6 +102,14 @@ def test_sweep_rejects_single_c(tmp_path, capsys):
     assert "two C values" in capsys.readouterr().err
 
 
+def test_sweep_budgets_stand_in_for_c(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--c-values", "3,10", "--P", "5", "--out", str(out)]) == 2
+    assert "P <= C" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--c-values", "8,9", "--C", "2", "--P", "6", "--out", str(out)]) == 0
+
+
 def test_report_formats_mean_and_std(tmp_path, capsys):
     paths = []
     for i, val in enumerate([93.9, 94.1]):
@@ -165,7 +174,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key 'budget'" in capsys.readouterr().err
 
 
-# One value per RunConfig field, written with the flag spellings of the CLI.
+# One value per flag field of RunConfig and of the configs it holds.
 EVERY_FIELD = {"method": "rea", "mode": "proxy", "fitness": "bench", "landscape_seed": 3,
                "interaction_scale": 0.25, "bench_path": "b.jsonl", "dataset": "cifar10",
                "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "rho": 0.5, "t": 0.0001,
@@ -182,20 +191,29 @@ def parsed(argv):
     return build_run_config(build_parser().parse_args(argv))
 
 
+def flag_values(config):
+    """The EVERY_FIELD keys read from a RunConfig and the configs it holds;
+    RunConfig's own dataset wins over EvolutionConfig's."""
+    values = {}
+    for obj in (config.proxy.skeleton, config.proxy, config.evolution, config):
+        values.update((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {key: values[key] for key in EVERY_FIELD}
+
+
 def test_every_flag_sets_its_field():
     argv = ["search"]
     for key, value in EVERY_FIELD.items():
         flag = "--bench" if key == "bench_path" else "--" + key.replace("_", "-")
         argv += [flag, as_text(value)]
-    config = parsed(argv)
-    assert {key: getattr(config, key) for key in EVERY_FIELD} == EVERY_FIELD
+    assert flag_values(parsed(argv)) == EVERY_FIELD
+    # No library field that is not a flag (seed, dataset, skeleton) leaks in.
+    assert set(_OPTIONS) == set(EVERY_FIELD) | {"num_seeds", "seed_base"}
 
 
 def test_every_config_key_sets_its_field(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{key} = {as_text(value)}\n" for key, value in EVERY_FIELD.items()))
-    config = parsed(["search", "--config", str(cfg)])
-    assert {key: getattr(config, key) for key in EVERY_FIELD} == EVERY_FIELD
+    assert flag_values(parsed(["search", "--config", str(cfg)])) == EVERY_FIELD
 
 
 def test_seed_range_flags():
@@ -205,14 +223,20 @@ def test_seed_range_flags():
 
 
 @pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
-                                  'mode = "mock"\nrho = "hi"\n'],
-                         ids=["C-not-int", "P-not-int", "rho-not-float"])
+                                  'mode = "mock"\nrho = "hi"\n', "C = 3\nP = 5\n",
+                                  "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
+                                  "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
+                                  'mode = "proxy"\nbatch_size = 5\n'],
+                         ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
+                              "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
+                              "rho-above-one", "batch-of-one", "batch-below-K"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     code = main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    assert not (tmp_path / "o").exists()
 
 
 def test_mock_mode_requires_rho(tmp_path, capsys):
@@ -241,17 +265,22 @@ def test_proxy_mode_runs(tmp_path):
     assert any(z is not None for z in zs)
 
 
-def test_proxy_mode_with_batch_file(tmp_path):
+@pytest.mark.parametrize("file_k,num_classes,expected", [(10, 10, 0), (3, 10, 2),
+                                                         (3, 2, 2), (3, 3, 0)])
+def test_proxy_mode_with_batch_file(tmp_path, capsys, file_k, num_classes, expected):
     rng = np.random.default_rng(0)
     batch = Batch(images=rng.normal(size=(12, 3, 8, 8)),
-                  labels=np.arange(12) % 10, num_classes=10)
+                  labels=np.arange(12) % file_k, num_classes=file_k)
     batch_file = tmp_path / "batch.bin"
     write_batch_file(batch_file, batch)
     out = tmp_path / "out"
     code = main(["search", "--mode", "proxy", "--C", "4", "--P", "2",
-                 "--batch-file", str(batch_file), "--seeds", "0", "--out", str(out)])
-    assert code == 0
-    assert (out / "gea_seed0.json").exists()
+                 "--batch-file", str(batch_file), "--num-classes", str(num_classes),
+                 "--seeds", "0", "--out", str(out)])
+    assert code == expected
+    assert (out / "gea_seed0.json").exists() == (expected == 0)
+    if expected:
+        assert "classes" in capsys.readouterr().err
 
 
 def test_bench_fitness_end_to_end(bench_path, tmp_path):
@@ -294,6 +323,7 @@ def test_missing_bench_file(tmp_path, capsys):
                  "--C", "5", "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "o").exists()
 
 
 def test_search_requires_out(capsys):

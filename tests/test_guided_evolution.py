@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, random_arch
 from gea_nas.benchmark_store import OracleProxySource, SyntheticLandscape
@@ -136,6 +138,51 @@ def test_tournament_tie_goes_to_earlier_birth():
     assert tournament_select(pop, 2, StubRng([2, 0])).birth == 0
     # and draw order must not matter
     assert tournament_select(pop, 2, StubRng([0, 2])).birth == 0
+
+
+def reference_tournament(population, s, rng):
+    """The explicit loop tournament_select replaced: S draws, strictly
+    higher fitness or equal fitness with an earlier birth takes the lead."""
+    members = population.members()
+    best = None
+    for _ in range(s):
+        pick = members[int(rng.integers(len(members)))]
+        if best is None or pick.fitness > best.fitness or \
+                (pick.fitness == best.fitness and pick.birth < best.birth):
+            best = pick
+    return best
+
+
+def reference_best_of(history):
+    """The explicit loop best_of replaced: the first strictly higher fitness leads."""
+    best = history[0]
+    for m in history[1:]:
+        if m.fitness > best.fitness:
+            best = m
+    return best
+
+
+tied_fitness = st.lists(st.sampled_from([10.0, 50.0, 90.0]), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_fitness, st.randoms(use_true_random=False), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_tournament_matches_reference_loop(fitnesses, shuffler, s, seed):
+    births = list(range(len(fitnesses)))
+    shuffler.shuffle(births)  # member order need not be birth order
+    pop = Population(len(fitnesses))
+    for f, b in zip(fitnesses, births):
+        pop.push(model(f, b))
+    got = tournament_select(pop, s, np.random.default_rng(seed))
+    assert got is reference_tournament(pop, s, np.random.default_rng(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_fitness)
+def test_best_of_matches_reference_loop(fitnesses):
+    history = [model(f, b) for b, f in enumerate(fitnesses)]
+    assert best_of(history) is reference_best_of(history)
 
 
 def test_init_keeps_top_p_by_proxy():

@@ -71,6 +71,8 @@ def test_proxy_config_validation():
         ProxyConfig(t=0.0)
     with pytest.raises(ValueError):
         ProxyConfig(tau=0)
+    with pytest.raises(ValueError, match="batch_size"):
+        ProxyConfig(batch_size=1)
 
 
 # --- batch files -----------------------------------------------------------
