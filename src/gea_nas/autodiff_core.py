@@ -6,7 +6,7 @@ Tensors are plain numpy float64 arrays, (N, C, H, W) for feature maps and
 scored untrained), so weights are constants of the graph and no parameter
 gradients are kept.
 
-Conventions fixed here so results are reproducible bit for bit:
+Conventions:
   - convolutions are cross-correlations, stride 1, zero padding (k-1)/2,
     no bias;
   - 3x3 average pooling uses zero padding with the divisor fixed at 9
@@ -14,6 +14,21 @@ Conventions fixed here so results are reproducible bit for bit:
   - batch norm uses batch statistics (scale 1, shift 0, eps 1e-5) and
     gradients flow through the statistics;
   - the ReLU gradient at exactly 0 is 0.
+
+Kernel forms:
+  - a 3x3 conv is one GEMM of the (Cout, Cin*9) weights with a channel-major
+    patch matrix (Cin*9, N*H*W); a 1x1 conv is a batched matmul over N;
+  - the conv input gradient is the forward conv with each kernel flipped
+    spatially and Cin/Cout swapped, its adjoint;
+  - pooling is separable: each element sums its neighbours along W, those
+    sums are summed along H, and the total is divided by 9; the same
+    stencil is its own gradient;
+  - batch norm centres its input once and squares the centred values for
+    the variance.
+
+Every kernel runs a fixed sequence of numpy operations, so results are
+reproducible bit for bit on a given machine, numpy build and BLAS; another
+BLAS may differ in the last bits of a conv.
 """
 
 from __future__ import annotations
@@ -22,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-5
 
@@ -40,59 +54,74 @@ class GraphStateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, H*W) patch matrix, zero padding (k-1)/2."""
+def _patches_3x3(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> channel-major patch matrix (C*9, N*H*W), zero padding 1.
+
+    Row c*9 + i*3 + j holds channel c shifted by (i-1, j-1), which matches the
+    (C, 3, 3) order of a flattened weight row.
+    """
     n, c, h, w = x.shape
-    if k == 1:
-        return x.reshape(n, c, h * w)
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (N, C, H, W, k, k)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
+    xp = np.zeros((c, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, 3, 3, n, h, w))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(c * 9, n * h * w)
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back to (N, C, H, W)."""
-    n, c, h, w = shape
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """conv2d without the operand checks. The input gradient calls this
+    directly, so conv2d itself runs only for forward convolutions."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
     if k == 1:
-        return cols.reshape(n, c, h, w)
-    pad = (k - 1) // 2
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    cols = cols.reshape(n, c, k, k, h, w)
-    for i in range(k):
-        for j in range(k):
-            out[:, :, i : i + h, j : j + w] += cols[:, :, i, j]
-    return out[:, :, pad : pad + h, pad : pad + w]
+        # No patch matrix to build: a batched matmul reads x in place.
+        out = w.reshape(cout, cin) @ x.reshape(n, cin, h * wd)
+        return out.reshape(n, cout, h, wd)
+    out = w.reshape(cout, -1) @ _patches_3x3(x)
+    return out.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cross-correlation of (N, Cin, H, W) with weights (Cout, Cin, k, k), k in {1, 3}."""
+    """Cross-correlation of (N, Cin, H, W) with weights (Cout, Cin, k, k), k in {1, 3}.
+
+    A 3x3 output is a channel-major view: (Cout, N, H, W) memory seen as
+    (N, Cout, H, W).
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
-    n, cin, h, wd = x.shape
-    cout, cin_w, k, k2 = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, weights {cin_w}")
+    _, cin_w, k, k2 = w.shape
+    if x.shape[1] != cin_w:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weights {cin_w}")
     if k != k2 or k not in (1, 3):
         raise ShapeError(f"conv2d kernel must be 1x1 or 3x3, got {k}x{k2}")
-    cols = _im2col(x, k)
-    out = w.reshape(cout, -1) @ cols  # broadcasts to (N, Cout, H*W)
-    return out.reshape(n, cout, h, wd)
+    return _correlate(x, w)
 
 
 def conv2d_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input, for upstream gradient dout."""
-    n, cout, h, wd = dout.shape
-    _, cin, k, _ = w.shape
-    dcols = w.reshape(cout, -1).T @ dout.reshape(n, cout, h * wd)
-    return _col2im(dcols, (n, cin, h, wd), k)
+    """Gradient of conv2d w.r.t. its input, for upstream gradient dout.
+
+    The adjoint of a zero-padded cross-correlation is the same correlation
+    with each kernel flipped in both spatial axes and Cin/Cout swapped.
+    """
+    return _correlate(dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
-    """3x3 window mean, stride 1, zero pad 1; divisor fixed at 9."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return win.mean(axis=(-2, -1))
+    """3x3 window mean, stride 1, zero pad 1; divisor fixed at 9.
+
+    Sums along W, then along H; edge windows skip the terms that fall in the
+    padding, which is the same as adding its zeros.
+    """
+    rows = np.copy(x)
+    rows[..., 1:] += x[..., :-1]
+    rows[..., :-1] += x[..., 1:]
+    out = np.copy(rows)
+    out[:, :, 1:] += rows[:, :, :-1]
+    out[:, :, :-1] += rows[:, :, 1:]
+    out /= 9.0
+    return out
 
 
 # The pooling operator is self-adjoint (symmetric uniform stencil, same
@@ -108,10 +137,10 @@ def batch_norm(x: np.ndarray, eps: float = BN_EPS) -> np.ndarray:
 
 def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
     axes = (0, 2, 3)
-    mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    var = np.square(xhat).mean(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
+    xhat *= inv_std
     return xhat, (xhat, inv_std)
 
 
@@ -119,8 +148,13 @@ def batch_norm_input_grad(dout: np.ndarray, cache) -> np.ndarray:
     xhat, inv_std = cache
     axes = (0, 2, 3)
     dmean = dout.mean(axis=axes, keepdims=True)
-    dproj = (dout * xhat).mean(axis=axes, keepdims=True)
-    return inv_std * (dout - dmean - xhat * dproj)
+    proj = dout * xhat
+    dproj = proj.mean(axis=axes, keepdims=True)
+    np.multiply(xhat, dproj, out=proj)
+    dx = dout - dmean
+    dx -= proj
+    dx *= inv_std
+    return dx
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ and a key of a flat key=value config file; flags override file values and
 num_seeds/seed_base build a seed range. Each config is built once and checks
 its own values before any output is written. All randomness flows from the
 declared seeds, so reruns of the same config reproduce every result byte for
-byte except the "timing" sections, which hold wall-clock measurements.
+byte except the "timing" sections and the sweep's proxy_wall_seconds column,
+which hold wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .guided_evolution import (
 )
 from .network_builder import SkeletonConfig
 from .zero_proxy import (
+    Batch,
     BatchFileError,
     JacobianProxySource,
     ProxyConfig,
@@ -231,27 +233,35 @@ def _fitness_source(config: RunConfig):
     return store, config.dataset
 
 
-def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int):
+def _file_batch(config: RunConfig) -> Batch | None:
+    """The --batch-file batch of a proxy-mode run, read and checked once per
+    command; None when the proxy draws a synthetic batch per seed instead."""
+    if config.mode != "proxy" or not config.batch_file:
+        return None
+    batch = read_batch_file(config.batch_file)
+    if batch.num_classes != config.proxy.skeleton.num_classes:
+        raise CliError(f"{config.batch_file} has {batch.num_classes} classes but "
+                       f"num_classes is {config.proxy.skeleton.num_classes}")
+    return batch
+
+
+def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int,
+                  batch: Batch | None):
     if config.mode == "oracle":
         return OracleProxySource(fitness, dataset)
     if config.mode == "mock":
         return NoisyProxySource(fitness, config.rho, seed)
-    if config.batch_file:
-        batch = read_batch_file(config.batch_file)
-        if batch.num_classes != config.proxy.skeleton.num_classes:
-            raise CliError(f"{config.batch_file} has {batch.num_classes} classes but "
-                           f"num_classes is {config.proxy.skeleton.num_classes}")
-    else:
+    if batch is None:
         batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         batch = make_batch(config.proxy, batch_rng)
     return JacobianProxySource(batch, config.proxy)
 
 
 def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
-             method: str, C: int) -> SearchResult:
+             method: str, C: int, batch: Batch | None) -> SearchResult:
     evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
     if method == "gea":
-        proxy = _proxy_source(config, fitness, dataset, seed)
+        proxy = _proxy_source(config, fitness, dataset, seed, batch)
         return run_search(evo, proxy, fitness)
     if method == "rea":
         return run_rea_baseline(evo, fitness)
@@ -306,9 +316,11 @@ def cmd_search(config: RunConfig) -> int:
         raise CliError("search requires --out DIR for result files")
     out_dir = Path(config.out)
     fitness, dataset = _fitness_source(config)
+    batch = _file_batch(config) if config.method == "gea" else None
     results = []
     for seed in config.seeds:
-        result = _run_one(config, fitness, dataset, seed, config.method, config.evolution.C)
+        result = _run_one(config, fitness, dataset, seed, config.method,
+                          config.evolution.C, batch)
         results.append(result)
         _write_json(out_dir / f"{config.method}_seed{seed}.json", result.to_json_dict())
     _write_json(out_dir / f"{config.method}_report.json",
@@ -323,18 +335,20 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
     fitness, dataset = _fitness_source(config)
+    batch = _file_batch(config)
     rows = []
     for c in c_values:
         for seed in config.seeds:
             for method in ("gea", "rea"):
-                r = _run_one(config, fitness, dataset, seed, method, c)
+                r = _run_one(config, fitness, dataset, seed, method, c, batch)
                 rows.append([method, c, seed, r.best.fitness, r.best.test_acc,
-                             r.sim_time_seconds])
+                             r.train_seconds_total, r.proxy_wall_seconds])
     out_path = Path(config.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "C", "seed", "val_acc", "test_acc", "sim_time"])
+        writer.writerow(["method", "C", "seed", "val_acc", "test_acc",
+                         "train_seconds", "proxy_wall_seconds"])
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {out_path}")
     return 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gea_nas.autodiff_core import (
     CompGraph,
@@ -17,7 +19,7 @@ from gea_nas.autodiff_core import (
 )
 
 
-# Naive reference kernels, written independently of the im2col path.
+# Naive reference kernels, written independently of the patch-matrix path.
 
 def conv2d_naive(x, w):
     n, cin, h, wd = x.shape
@@ -147,6 +149,93 @@ def test_relu_grad_zero_at_kink():
     x = np.array([[-1.0, 0.0, 2.0]])
     dout = np.ones_like(x)
     assert np.array_equal(relu_input_grad(dout, x), [[0.0, 0.0, 1.0]])
+
+
+# --- property tests on random shapes --------------------------------------
+#
+# Shapes include H or W = 1 and H != W. The graph feeds kernels both NCHW
+# arrays and the channel-major views a 3x3 conv returns, so both layouts are
+# drawn.
+
+feature_maps = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
+                         st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+def draw_map(n, c, h, w, channel_major, seed):
+    x = np.random.default_rng(seed).normal(size=(n, c, h, w))
+    if channel_major:
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    return x
+
+
+def bn_two_pass(x, eps=1e-5):
+    """Batch norm as computed before the one-centring rewrite: (xhat, inv_std)."""
+    axes = (0, 2, 3)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    return (x - mean) * inv_std, inv_std
+
+
+def bn_grad_reference(dout, xhat, inv_std):
+    axes = (0, 2, 3)
+    dmean = dout.mean(axis=axes, keepdims=True)
+    dproj = (dout * xhat).mean(axis=axes, keepdims=True)
+    return inv_std * (dout - dmean - xhat * dproj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_maps, st.integers(1, 4), st.sampled_from([1, 3]))
+def test_conv_matches_naive_oracle_on_random_shapes(shape, cout, k):
+    x = draw_map(*shape)
+    w = np.random.default_rng(shape[-1] + 1).normal(size=(cout, x.shape[1], k, k))
+    out = conv2d(x, w)
+    assert out.shape == (x.shape[0], cout) + x.shape[2:]
+    assert np.max(np.abs(out - conv2d_naive(x, w))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_maps, st.integers(1, 4), st.sampled_from([1, 3]))
+def test_conv_adjoint_identity_on_random_shapes(shape, cout, k):
+    x = draw_map(*shape)
+    rng = np.random.default_rng(shape[-1] + 1)
+    w = rng.normal(size=(cout, x.shape[1], k, k))
+    y = rng.normal(size=(x.shape[0], cout) + x.shape[2:])
+    fwd = conv2d(x, w) * y
+    adj = x * conv2d_input_grad(y, w)
+    assert adj.shape == x.shape
+    assert abs(fwd.sum() - adj.sum()) <= 1e-12 * max(1.0, np.abs(fwd).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_maps)
+def test_avg_pool_matches_naive_oracle_on_random_shapes(shape):
+    x = draw_map(*shape)
+    assert np.max(np.abs(avg_pool_3x3(x) - avg_pool_naive(x))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_maps)
+def test_avg_pool_adjoint_identity_on_random_shapes(shape):
+    x = draw_map(*shape)
+    y = np.random.default_rng(shape[-1] + 1).normal(size=x.shape)
+    fwd = avg_pool_3x3(x) * y
+    adj = x * avg_pool_3x3_grad(y)
+    assert abs(fwd.sum() - adj.sum()) <= 1e-12 * max(1.0, np.abs(fwd).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_maps)
+def test_batch_norm_matches_two_pass_reference(shape):
+    x = draw_map(*shape)
+    dout = np.random.default_rng(shape[-1] + 1).normal(size=x.shape)
+    xhat, (cached, inv_std) = batch_norm_with_cache(x)
+    ref_xhat, ref_inv_std = bn_two_pass(x)
+    # Same operations in the same order: equal bit for bit, not merely close.
+    assert np.array_equal(xhat, ref_xhat) and cached is xhat
+    assert np.array_equal(inv_std, ref_inv_std)
+    assert np.array_equal(batch_norm_input_grad(dout, (xhat, inv_std)),
+                          bn_grad_reference(dout, ref_xhat, ref_inv_std))
 
 
 # --- graph-level behavior -------------------------------------------------

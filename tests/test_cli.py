@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gea_nas import experiment_cli
 from gea_nas.arch_space import encode_str, enumerate_all, parse_str
 from gea_nas.benchmark_store import (
     BenchRecord,
@@ -14,7 +15,7 @@ from gea_nas.benchmark_store import (
     dump_jsonl,
 )
 from gea_nas.experiment_cli import _OPTIONS, build_parser, build_run_config, main, mean_std
-from gea_nas.zero_proxy import Batch, write_batch_file
+from gea_nas.zero_proxy import Batch, read_batch_file, write_batch_file
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +88,31 @@ def test_sweep_csv_layout(tmp_path):
     assert code == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["method", "C", "seed", "val_acc", "test_acc", "sim_time"]
+    assert rows[0] == ["method", "C", "seed", "val_acc", "test_acc",
+                       "train_seconds", "proxy_wall_seconds"]
     body = rows[1:]
     assert len(body) == 8  # 2 C values x 2 seeds x 2 methods
     assert sorted({r[0] for r in body}) == ["gea", "rea"]
     assert sorted({r[1] for r in body}) == ["10", "20"]
     for r in body:
         assert 0.0 <= float(r[3]) <= 100.0
+
+
+def test_sweep_rerun_identical_outside_proxy_wall(tmp_path):
+    args = ["sweep", "--c-values", "4,6", "--seeds", "0,1", "--mode", "proxy",
+            "--P", "2", "--batch-size", "12"]
+    tables = []
+    for name in ("a.csv", "b.csv"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / name, newline="") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    a, b = tables
+    assert len(a) == len(b) == 8
+    for row_a, row_b in zip(a, b):
+        wall_a, wall_b = row_a.pop("proxy_wall_seconds"), row_b.pop("proxy_wall_seconds")
+        assert row_a == row_b
+        assert (float(wall_a) > 0.0) == (row_a["method"] == "gea")
+        assert (float(wall_b) > 0.0) == (row_b["method"] == "gea")
 
 
 def test_sweep_rejects_single_c(tmp_path, capsys):
@@ -281,6 +300,26 @@ def test_proxy_mode_with_batch_file(tmp_path, capsys, file_k, num_classes, expec
     assert (out / "gea_seed0.json").exists() == (expected == 0)
     if expected:
         assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["search", "--seeds", "0,1,2"],
+                                     ["sweep", "--c-values", "4,5", "--seeds", "0,1,2"]])
+def test_batch_file_is_read_once_per_command(tmp_path, monkeypatch, command):
+    rng = np.random.default_rng(0)
+    batch_file = tmp_path / "batch.bin"
+    write_batch_file(batch_file, Batch(images=rng.normal(size=(12, 3, 8, 8)),
+                                       labels=np.arange(12) % 10, num_classes=10))
+    calls = []
+
+    def counting_read(path):
+        calls.append(path)
+        return read_batch_file(path)
+
+    monkeypatch.setattr(experiment_cli, "read_batch_file", counting_read)
+    out = tmp_path / ("out" if command[0] == "search" else "sweep.csv")
+    assert main(command + ["--mode", "proxy", "--C", "4", "--P", "2",
+                           "--batch-file", str(batch_file), "--out", str(out)]) == 0
+    assert calls == [str(batch_file)]
 
 
 def test_bench_fitness_end_to_end(bench_path, tmp_path):
