@@ -36,7 +36,6 @@ from .benchmark_store import (
 from .guided_evolution import (
     EvaluatedModel,
     EvolutionConfig,
-    Population,
     SearchResult,
     best_of,
     run_random_baseline,
@@ -61,7 +60,6 @@ from .zero_proxy import (
     compute_jacobian,
     correlation_matrix,
     make_batch,
-    proxy_rank_key,
     read_batch_file,
     score_architecture,
     split_by_class,

@@ -221,10 +221,6 @@ class CompGraph:
         self.records.append(Record(kind, inputs, weight, bias))
         return len(self.records) - 1
 
-    @property
-    def output_id(self) -> int:
-        return len(self.records) - 1
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Execute all records in order; returns the logits and caches activations."""
         recs = self.records
@@ -257,18 +253,15 @@ class CompGraph:
         self._forward_done = True
         return recs[-1].out
 
-    def backward_to_input(self, seed_grad: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of the seeded logits w.r.t. the input; default seed is all ones.
-
-        With the all-ones seed the result is the gradient of the summed logits,
+    def backward_to_input(self) -> np.ndarray:
+        """Gradient of the summed logits w.r.t. the input (an all-ones seed),
         which packs one Jacobian row per sample into (N, C, H, W).
         """
         if not self._forward_done:
             raise GraphStateError("backward requested before forward")
         recs = self.records
         grads: list[np.ndarray | None] = [None] * len(recs)
-        logits = recs[-1].out
-        grads[-1] = np.ones_like(logits) if seed_grad is None else np.asarray(seed_grad, float)
+        grads[-1] = np.ones_like(recs[-1].out)
 
         def accumulate(rid: int, g: np.ndarray) -> None:
             # New-array addition instead of += keeps aliased grads safe.

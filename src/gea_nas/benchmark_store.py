@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .arch_space import NUM_EDGES, NUM_OPS, SPACE_SIZE, ArchEncoding, CellParseError, op_index_table, parse_str
 from .zero_proxy import ProxyScore
@@ -200,7 +199,7 @@ class OracleProxySource:
 
     def score(self, arch, rng=None) -> ProxyScore:
         val, _, _ = self._source.evaluate(arch, self._dataset)
-        return ProxyScore(z=float(val), valid=True, e=())
+        return ProxyScore(z=float(val))
 
 
 class NoisyProxySource:
@@ -219,6 +218,8 @@ class NoisyProxySource:
     def __init__(self, landscape: SyntheticLandscape, rho: float, seed: int):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
+        from scipy import stats  # most of the package import time; only mock mode needs it
+
         self.rho = rho
         ranks = stats.rankdata(landscape.fitness)
         signal = stats.norm.ppf(ranks / (SPACE_SIZE + 1))
@@ -259,4 +260,4 @@ class NoisyProxySource:
                 f"calibrated Spearman {self.empirical_spearman:.4f} misses target {rho}")
 
     def score(self, arch, rng=None) -> ProxyScore:
-        return ProxyScore(z=float(self.values[_arch_key(arch)]), valid=True, e=())
+        return ProxyScore(z=float(self.values[_arch_key(arch)]))

@@ -360,7 +360,7 @@ def _load_result_file(path: str) -> dict:
         return {"method": doc["method"], "dataset": doc["config"]["dataset"],
                 "val_acc": float(doc["best"]["val_acc"]),
                 "test_acc": float(doc["best"]["test_acc"]),
-                "sim_time": float(doc["timing"]["sim_time_seconds"])}
+                "train_seconds": float(doc["train_seconds_total"])}
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: not a SearchResult JSON file ({exc})") from None
 
@@ -382,7 +382,7 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
             if not group:
                 line += ["-", "-", "-"]
                 continue
-            time_mean, _ = mean_std([r["sim_time"] for r in group])
+            time_mean, _ = mean_std([r["train_seconds"] for r in group])
             val_mean, val_std = mean_std([r["val_acc"] for r in group])
             test_mean, test_std = mean_std([r["test_acc"] for r in group])
             line += [f"{time_mean:.2f}",

@@ -1,11 +1,13 @@
 """Aging evolution with proxy-guided child admission, plus baselines.
 
 One loop serves all three methods. It samples a pool of random
-architectures and admits some of them to a FIFO population; each cycle then
+architectures and admits some of them to the population; each cycle then
 tournament-selects a parent, generates mutated children and fitness-evaluates
 only the top-scoring child, which replaces the oldest population member. The
-run stops once C models have been fitness-evaluated, so every method trains
-exactly C models. The three methods are three shapes of that loop:
+population is therefore always the latest admissions of the history, which
+is the search's one record. The run stops once C models have been
+fitness-evaluated, so every method trains exactly C models. The three
+methods are three shapes of that loop:
 
   - gea: pool of C proxy-scored candidates, the P best admitted, P
     proxy-scored children per cycle;
@@ -23,14 +25,13 @@ is carried through untouched for reporting.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from .arch_space import ArchEncoding, mutate, random_arch
-from .zero_proxy import ProxyScore, proxy_rank_key
+from .zero_proxy import ProxyScore
 
 
 class ProxySource(Protocol):
@@ -72,28 +73,6 @@ class EvaluatedModel:
             raise ValueError(f"fitness out of [0, 100]: {self.fitness}")
 
 
-class Population:
-    """FIFO queue of at most ``capacity`` models; removal order = insertion order."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._queue: deque[EvaluatedModel] = deque()
-
-    def push(self, model: EvaluatedModel) -> None:
-        if len(self._queue) >= self.capacity:
-            raise RuntimeError(f"population already at capacity {self.capacity}")
-        self._queue.append(model)
-
-    def pop_oldest(self) -> EvaluatedModel:
-        return self._queue.popleft()
-
-    def members(self) -> tuple[EvaluatedModel, ...]:
-        return tuple(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
 @dataclass(frozen=True)
 class ChildLog:
     arch: ArchEncoding
@@ -116,11 +95,21 @@ class SearchResult:
     config: EvolutionConfig
     history: list[EvaluatedModel]
     cycle_log: list[CycleLog]
-    best: EvaluatedModel
     num_proxy_evals: int
-    num_fitness_evals: int
-    train_seconds_total: float
     proxy_wall_seconds: float
+
+    @property
+    def best(self) -> EvaluatedModel:
+        return best_of(self.history)
+
+    @property
+    def num_fitness_evals(self) -> int:
+        return len(self.history)
+
+    @property
+    def train_seconds_total(self) -> float:
+        """Recorded (simulated) training time of every admitted model."""
+        return sum(m.train_seconds for m in self.history)
 
     @property
     def sim_time_seconds(self) -> float:
@@ -173,10 +162,10 @@ def _child_rng(seed: int, cycle: int, child: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 2 + cycle, child)))
 
 
-def tournament_select(population: Population, s: int, rng: np.random.Generator) -> EvaluatedModel:
+def tournament_select(members: Sequence[EvaluatedModel], s: int,
+                      rng: np.random.Generator) -> EvaluatedModel:
     """S draws with replacement; returns the max-fitness draw, earliest birth
     winning ties."""
-    members = population.members()
     picks = [members[int(rng.integers(len(members)))] for _ in range(s)]
     return max(picks, key=lambda m: (m.fitness, -m.birth))
 
@@ -189,7 +178,9 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     Samples ``pool`` random candidates and admits ``keep`` of them (the best
     by proxy score, or all of them when there is no proxy), then runs cycles
     of ``children`` mutated children each, admitting the best-scoring child
-    (the only one without a proxy), until C models have been trained.
+    (the only one without a proxy), until C models have been trained. The
+    population is ``history[-keep:]``: admissions go in birth order and each
+    cycle's admission ages out the oldest member.
     """
     proxy_wall = 0.0
     num_proxy = 0
@@ -204,14 +195,12 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         num_proxy += 1
         return s
 
-    population = Population(keep)
     history: list[EvaluatedModel] = []
 
     def admit(arch: ArchEncoding, score: Optional[ProxyScore]) -> None:
         val, test, secs = fitness.evaluate(arch, config.dataset)
         model = EvaluatedModel(arch=arch, fitness=val, test_acc=test,
                                birth=len(history), train_seconds=secs, proxy=score)
-        population.push(model)
         history.append(model)
 
     candidates = []
@@ -221,8 +210,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         candidates.append((arch, scored(arch, rng)))
     kept = range(keep)
     if proxy is not None:
-        order = sorted(range(pool), key=lambda i: proxy_rank_key(candidates[i][1]),
-                       reverse=True)
+        order = sorted(range(pool), key=lambda i: candidates[i][1].z, reverse=True)
         kept = sorted(order[:keep])  # generation order = birth order
     for i in kept:
         admit(*candidates[i])
@@ -231,28 +219,24 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     cycle_log: list[CycleLog] = []
     while len(history) < config.C:
         cycle = len(cycle_log)
-        parent = tournament_select(population, config.S, main_rng)
+        parent = tournament_select(history[-keep:], config.S, main_rng)
         logs = []
         for j in range(children):
             rng = _child_rng(config.seed, cycle, j)
             child = mutate(parent.arch, rng)
             logs.append(ChildLog(child, scored(child, rng)))
-        # Best proxy score, earlier child winning ties.
-        best = 0 if proxy is None else max(range(children),
-                                            key=lambda j: proxy_rank_key(logs[j].proxy))
-        population.pop_oldest()
+        # Best proxy z (an invalid child's -inf loses to any valid one),
+        # earlier child winning ties.
+        best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy.z)
         admit(logs[best].arch, logs[best].proxy)
         cycle_log.append(CycleLog(
             cycle=cycle, parent_birth=parent.birth, parent_arch=parent.arch,
             children=tuple(logs), admitted_index=best,
-            population_births=tuple(m.birth for m in population.members())))
+            population_births=tuple(m.birth for m in history[-keep:])))
 
-    return SearchResult(
-        method=method, config=config, history=history, cycle_log=cycle_log,
-        best=best_of(history), num_proxy_evals=num_proxy,
-        num_fitness_evals=len(history),
-        train_seconds_total=sum(m.train_seconds for m in history),
-        proxy_wall_seconds=proxy_wall)
+    return SearchResult(method=method, config=config, history=history,
+                        cycle_log=cycle_log, num_proxy_evals=num_proxy,
+                        proxy_wall_seconds=proxy_wall)
 
 
 def run_search(config: EvolutionConfig, proxy: ProxySource,

@@ -61,11 +61,10 @@ def jacobian_input_dim(skeleton: SkeletonConfig) -> int:
 @dataclass
 class MicroNetwork:
     """A built network: the graph (whose records hold the weights) plus the
-    skeleton and architecture it was built from."""
+    skeleton it was built from."""
 
     graph: CompGraph
     skeleton: SkeletonConfig
-    arch: ArchEncoding
 
     def param_count(self) -> int:
         return sum(p.size for r in self.graph.records
@@ -128,4 +127,4 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
     cur = graph.add("gap", cur)
     graph.add("linear", cur, weight=head_w, bias=np.zeros(skeleton.num_classes))
 
-    return MicroNetwork(graph=graph, skeleton=skeleton, arch=arch)
+    return MicroNetwork(graph=graph, skeleton=skeleton)

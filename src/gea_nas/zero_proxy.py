@@ -6,9 +6,9 @@ backward), split the N x D Jacobian rows by class label, form a Pearson
 correlation matrix per class, score each matrix through a saturating log,
 and aggregate the per-class scores into a single scalar z. Higher z is
 better. Anything degenerate along the way (non-finite gradients, an exactly
-zero Jacobian, a constant row) marks the architecture invalid instead of
-raising: a search cycle must be able to score any child it generates, and
-invalid scores rank strictly below all valid ones.
+zero Jacobian, a constant row) marks the architecture invalid, z = -inf,
+instead of raising: a search cycle must be able to score any child it
+generates, and invalid scores rank strictly below all valid ones.
 """
 
 from __future__ import annotations
@@ -80,34 +80,18 @@ class ProxyConfig:
 
 
 @dataclass(frozen=True)
-class JacobianMatrix:
-    """Row i is the flattened (C,H,W) gradient of sample i's summed logits."""
-
-    rows: np.ndarray
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class ClassGroup:
-    class_id: int
-    rows: np.ndarray  # (N_k, D)
-
-
-@dataclass(frozen=True)
 class ProxyScore:
-    """Aggregate score z plus validity; invalid scores carry z = -inf, e = ()."""
+    """Aggregate score z; invalid scores carry z = -inf and rank below all
+    valid ones, so z alone orders any two scores."""
 
     z: float
-    valid: bool
-    e: tuple[float, ...]
+
+    @property
+    def valid(self) -> bool:
+        return self.z > float("-inf")
 
 
-INVALID_SCORE = ProxyScore(z=float("-inf"), valid=False, e=())
-
-
-def proxy_rank_key(score: ProxyScore) -> tuple[bool, float]:
-    """Sort key: any valid score outranks every invalid one, then by z."""
-    return (score.valid, score.z)
+INVALID_SCORE = ProxyScore(z=float("-inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -115,43 +99,38 @@ def proxy_rank_key(score: ProxyScore) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-def compute_jacobian(net: MicroNetwork, batch: Batch) -> JacobianMatrix:
+def compute_jacobian(net: MicroNetwork, batch: Batch) -> np.ndarray | None:
     """One forward and one backward with an all-ones logit seed.
 
     Seeding every logit with 1 makes the input gradient of sample i exactly
     the gradient of that sample's summed logits, so the whole N x D Jacobian
-    falls out of a single backward pass.
+    falls out of a single backward pass. Row i is the flattened (C,H,W)
+    gradient of sample i; None when the rows are degenerate (non-finite or
+    all zero).
     """
     expected = batch.images.shape[1:]
     got = net.skeleton.input_shape
     if expected != got:
         raise ValueError(f"batch images {expected} do not match network input {got}")
     net.graph.forward(batch.images)
-    grad = net.graph.backward_to_input()
-    rows = grad.reshape(batch.size, -1)
-    degenerate = not np.isfinite(rows).all() or not rows.any()
-    return JacobianMatrix(rows=rows, degenerate=degenerate)
+    rows = net.graph.backward_to_input().reshape(batch.size, -1)
+    if not np.isfinite(rows).all() or not rows.any():
+        return None
+    return rows
 
 
-def split_by_class(jac: JacobianMatrix, labels: np.ndarray,
-                   num_classes: int | None = None) -> list[ClassGroup]:
-    """Partition rows by label; groups come back ordered by class id and keep
-    the original row order inside each group. Empty classes yield no group."""
-    rows = jac.rows
+def split_by_class(rows: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Partition rows by label; blocks come back ordered by class id and keep
+    the original row order inside each block. Empty classes yield no block."""
     if labels.shape != (rows.shape[0],):
         raise ValueError(f"need {rows.shape[0]} labels, got shape {labels.shape}")
-    if num_classes is not None and labels.size and labels.max() >= num_classes:
-        raise ValueError(f"label {int(labels.max())} outside [0, {num_classes})")
-    groups = []
-    for k in np.unique(labels):
-        groups.append(ClassGroup(class_id=int(k), rows=rows[labels == k]))
-    return groups
+    return [rows[labels == k] for k in np.unique(labels)]
 
 
-def correlation_matrix(group: ClassGroup) -> np.ndarray | None:
-    """Pearson correlation between the group's rows, or None when some row is
-    constant (zero variance makes the correlation undefined)."""
-    centered = group.rows - group.rows.mean(axis=1, keepdims=True)
+def correlation_matrix(rows: np.ndarray) -> np.ndarray | None:
+    """Pearson correlation between the rows of one class block, or None when
+    some row is constant (zero variance makes the correlation undefined)."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     if not norms.all() or not np.isfinite(norms).all():
         return None
@@ -184,19 +163,19 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
     """Full scoring pipeline; never raises on degenerate architectures."""
     config = config if config is not None else ProxyConfig()
     net = build_network(arch, config.skeleton, rng)
-    jac = compute_jacobian(net, batch)
-    if jac.degenerate:
+    rows = compute_jacobian(net, batch)
+    if rows is None:
         return INVALID_SCORE
     scores = []
-    for group in split_by_class(jac, batch.labels, batch.num_classes):
-        sigma = correlation_matrix(group)
+    for block in split_by_class(rows, batch.labels):
+        sigma = correlation_matrix(block)
         if sigma is None:
             return INVALID_SCORE
         scores.append(class_score(sigma, batch.num_classes, config))
     z = aggregate(scores, batch.num_classes, config)
     if not np.isfinite(z):
         return INVALID_SCORE
-    return ProxyScore(z=z, valid=True, e=tuple(scores))
+    return ProxyScore(z=z)
 
 
 class JacobianProxySource:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import gea_nas
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, encode_str, enumerate_all
 from gea_nas.benchmark_store import (
     NOMINAL_TRAIN_SECONDS,
@@ -180,3 +185,13 @@ def test_proxy_score_interface():
     arch = ArchEncoding.from_index(123)
     score = proxy.score(arch)
     assert score.valid and score.z == float(proxy.values[123])
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time and only the noisy
+    # proxy's calibration uses it
+    code = "import sys, gea_nas; print('scipy.stats' in sys.modules)"
+    src = str(Path(gea_nas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

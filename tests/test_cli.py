@@ -40,10 +40,10 @@ def strip_timing(doc):
     return doc
 
 
-def result_doc(method, dataset, val, test, sim):
+def result_doc(method, dataset, val, test, train_seconds):
     return {"method": method, "config": {"dataset": dataset},
             "best": {"val_acc": val, "test_acc": test},
-            "timing": {"sim_time_seconds": sim}}
+            "train_seconds_total": train_seconds}
 
 
 def test_mean_std():
@@ -155,6 +155,21 @@ def test_report_groups_mixed_datasets(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:4] == ["method", "cifar10 time", "cifar10 val", "cifar10 test"]
     assert len(rows) == 3
+
+
+def test_report_identical_for_identical_runs(tmp_path, capsys):
+    # The time column is the simulated train time, so the measured proxy
+    # wall of a proxy-mode search must not leak into it.
+    args = ["search", "--method", "gea", "--mode", "proxy", "--C", "6", "--P", "2",
+            "--seeds", "0"]
+    reports = []
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / name / "gea_seed0.json")]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "600.00" in reports[0]  # 6 trained models x 100 s each
 
 
 def test_report_rejects_non_result_file(tmp_path, capsys):

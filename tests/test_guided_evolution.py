@@ -8,7 +8,6 @@ from gea_nas.benchmark_store import OracleProxySource, SyntheticLandscape
 from gea_nas.guided_evolution import (
     EvaluatedModel,
     EvolutionConfig,
-    Population,
     _candidate_rng,
     best_of,
     run_random_baseline,
@@ -33,12 +32,12 @@ class IndexProxy:
     """z equals the architecture's space index: a fixed, known total order."""
 
     def score(self, arch, rng=None):
-        return ProxyScore(z=float(arch.index), valid=True, e=())
+        return ProxyScore(z=float(arch.index))
 
 
 class ConstantProxy:
     def score(self, arch, rng=None):
-        return ProxyScore(z=1.0, valid=True, e=())
+        return ProxyScore(z=1.0)
 
 
 class FlatLandscape:
@@ -94,21 +93,8 @@ def test_evaluated_model_fitness_range():
         model(-0.1, 0)
 
 
-def test_population_fifo_and_capacity():
-    pop = Population(2)
-    pop.push(model(1.0, 0))
-    pop.push(model(2.0, 1))
-    with pytest.raises(RuntimeError, match="capacity"):
-        pop.push(model(3.0, 2))
-    assert pop.pop_oldest().birth == 0
-    pop.push(model(3.0, 2))
-    assert [m.birth for m in pop.members()] == [1, 2]
-
-
 def test_tournament_single_draw_is_uniform():
-    pop = Population(5)
-    for i in range(5):
-        pop.push(model(float(i), i))
+    pop = [model(float(i), i) for i in range(5)]
     rng = np.random.default_rng(7)
     counts = np.zeros(5)
     n = 20000
@@ -121,9 +107,7 @@ def test_tournament_single_draw_is_uniform():
                                            (5, 43, 1 - (4 / 5) ** 5)])
 def test_tournament_best_win_frequency(s, seed, expect):
     # P(best of 5 enters at least one of s draws) = 1 - (4/5)^s
-    pop = Population(5)
-    for i in range(5):
-        pop.push(model(float(i), i))
+    pop = [model(float(i), i) for i in range(5)]
     rng = np.random.default_rng(seed)
     n = 100000
     wins = sum(tournament_select(pop, s, rng).birth == 4 for _ in range(n))
@@ -131,19 +115,16 @@ def test_tournament_best_win_frequency(s, seed, expect):
 
 
 def test_tournament_tie_goes_to_earlier_birth():
-    pop = Population(3)
-    for i in range(3):
-        pop.push(model(5.0, i))
+    pop = [model(5.0, i) for i in range(3)]
     # draws 2 then 0: equal fitness, the earlier birth must win
     assert tournament_select(pop, 2, StubRng([2, 0])).birth == 0
     # and draw order must not matter
     assert tournament_select(pop, 2, StubRng([0, 2])).birth == 0
 
 
-def reference_tournament(population, s, rng):
+def reference_tournament(members, s, rng):
     """The explicit loop tournament_select replaced: S draws, strictly
     higher fitness or equal fitness with an earlier birth takes the lead."""
-    members = population.members()
     best = None
     for _ in range(s):
         pick = members[int(rng.integers(len(members)))]
@@ -171,9 +152,7 @@ tied_fitness = st.lists(st.sampled_from([10.0, 50.0, 90.0]), min_size=1, max_siz
 def test_tournament_matches_reference_loop(fitnesses, shuffler, s, seed):
     births = list(range(len(fitnesses)))
     shuffler.shuffle(births)  # member order need not be birth order
-    pop = Population(len(fitnesses))
-    for f, b in zip(fitnesses, births):
-        pop.push(model(f, b))
+    pop = [model(f, b) for f, b in zip(fitnesses, births)]
     got = tournament_select(pop, s, np.random.default_rng(seed))
     assert got is reference_tournament(pop, s, np.random.default_rng(seed))
 
@@ -252,7 +231,7 @@ def test_invalid_scores_rank_below_valid():
     class MostlyInvalidProxy:
         def score(self, arch, rng=None):
             if arch.index % 3 == 0:
-                return ProxyScore(z=float(arch.index), valid=True, e=())
+                return ProxyScore(z=float(arch.index))
             return INVALID_SCORE
 
     config = EvolutionConfig(C=18, P=3, seed=9)
@@ -260,6 +239,52 @@ def test_invalid_scores_rank_below_valid():
     for log in result.cycle_log:
         if any(c.proxy.valid for c in log.children):
             assert log.children[log.admitted_index].proxy.valid
+
+
+class MaskedProxy:
+    """A seeded random subset of the space scores invalid; the rest score a
+    few tied z values, so ties and invalid scores meet in one ranking."""
+
+    def __init__(self, mask_seed, invalid_share):
+        self.invalid = np.random.default_rng(mask_seed).random(SPACE_SIZE) < invalid_share
+
+    def score(self, arch, rng=None):
+        if self.invalid[arch.index]:
+            return INVALID_SCORE
+        return ProxyScore(z=float(arch.index % 3))
+
+
+class IndexLandscape:
+    def evaluate(self, arch, dataset):
+        f = 100.0 * arch.index / (SPACE_SIZE - 1)
+        return f, f, 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]), st.integers(1, 6), st.integers(0, 12))
+def test_invalid_scores_rank_last_property(seed, mask_seed, invalid_share, p, extra):
+    proxy = MaskedProxy(mask_seed, invalid_share)
+    config = EvolutionConfig(C=p + extra, P=p, seed=seed)
+    result = run_search(config, proxy, IndexLandscape())
+
+    def rank_key(score):  # valid first, then z
+        return (score.valid, score.z)
+
+    # initial admission: the P best of C candidates, so an invalid member
+    # means no valid candidate was left out
+    candidates = [proxy.score(random_arch(_candidate_rng(seed, i))) for i in range(config.C)]
+    init = [m.proxy for m in result.history[:p]]
+    left_out = sum(s.valid for s in candidates) - sum(s.valid for s in init)
+    assert left_out == 0 or all(s.valid for s in init)
+    assert sorted(map(rank_key, init)) == sorted(map(rank_key, candidates))[-p:]
+    # every cycle admits the first of the best children
+    for log in result.cycle_log:
+        scores = [c.proxy for c in log.children]
+        if any(s.valid for s in scores):
+            assert scores[log.admitted_index].valid
+        assert log.admitted_index == max(range(p), key=lambda j: rank_key(scores[j]))
+        assert result.history[p + log.cycle].proxy is scores[log.admitted_index]
 
 
 def test_rea_baseline_shape():
