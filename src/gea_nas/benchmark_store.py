@@ -197,7 +197,7 @@ class OracleProxySource:
         self._source = fitness_source
         self._dataset = dataset
 
-    def score(self, arch, rng=None) -> ProxyScore:
+    def score(self, arch) -> ProxyScore:
         val, _, _ = self._source.evaluate(arch, self._dataset)
         return ProxyScore(z=float(val))
 
@@ -259,5 +259,5 @@ class NoisyProxySource:
             raise CalibrationError(
                 f"calibrated Spearman {self.empirical_spearman:.4f} misses target {rho}")
 
-    def score(self, arch, rng=None) -> ProxyScore:
+    def score(self, arch) -> ProxyScore:
         return ProxyScore(z=float(self.values[_arch_key(arch)]))

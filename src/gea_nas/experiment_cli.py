@@ -254,7 +254,7 @@ def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int,
     if batch is None:
         batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         batch = make_batch(config.proxy, batch_rng)
-    return JacobianProxySource(batch, config.proxy)
+    return JacobianProxySource(batch, config.proxy, seed)
 
 
 def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
@@ -292,7 +292,8 @@ def aggregate_report(method: str, dataset: str, results: list[SearchResult]) -> 
         "per_seed": [{"seed": r.config.seed, "val_acc": r.best.fitness,
                       "test_acc": r.best.test_acc, "arch": str(r.best.arch),
                       "fitness_evals": r.num_fitness_evals,
-                      "proxy_evals": r.num_proxy_evals} for r in results],
+                      "proxy_evals": r.num_proxy_evals,
+                      "proxy_computed": r.num_proxy_computed} for r in results],
         "val_acc": {"mean": val_mean, "std": val_std},
         "test_acc": {"mean": test_mean, "std": test_std},
         "train_seconds_total": {"mean": train_mean},
@@ -354,9 +355,14 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
     return 0
 
 
-def _load_result_file(path: str) -> dict:
+def _load_result_file(path: str) -> dict | None:
+    """One per-seed SearchResult as a report row; None for an aggregate
+    report (the <method>_report.json that search writes beside the per-seed
+    files, so a DIR/*.json glob can be reported as is)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(doc, dict) and "per_seed" in doc:
+            return None
         return {"method": doc["method"], "dataset": doc["config"]["dataset"],
                 "val_acc": float(doc["best"]["val_acc"]),
                 "test_acc": float(doc["best"]["test_acc"]),
@@ -366,7 +372,10 @@ def _load_result_file(path: str) -> dict:
 
 
 def cmd_report(result_files: list[str], out: str | None) -> int:
-    rows = [_load_result_file(p) for p in result_files]
+    rows = [row for row in map(_load_result_file, result_files) if row is not None]
+    if not rows:
+        raise CliError("no per-seed SearchResult files to report; "
+                       "aggregate report files are skipped")
     methods = sorted({r["method"] for r in rows})
     datasets = sorted({r["dataset"] for r in rows})
 

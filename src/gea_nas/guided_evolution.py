@@ -16,8 +16,11 @@ methods are three shapes of that loop:
 
 Determinism: every stochastic draw comes from a generator derived from the
 config seed; given the same config, proxy, and fitness source, two runs
-produce identical histories and logs. Per-child generators are derived from
-(seed, cycle, child index) so children could be scored in any order.
+produce identical histories and logs. Candidate and per-child generators,
+derived from (seed, candidate index) and (seed, cycle, child index), drive
+only sampling and mutation. The proxy takes no generator: a score is a
+function of the cell, so each run computes a cell's score once and serves
+every later request for that cell from a cache keyed by its index.
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """
@@ -35,7 +38,10 @@ from .zero_proxy import ProxyScore
 
 
 class ProxySource(Protocol):
-    def score(self, arch: ArchEncoding, rng: np.random.Generator) -> ProxyScore: ...
+    """Scores a cell; the same cell must always get the same score, because
+    the loop asks the source once per cell and run."""
+
+    def score(self, arch: ArchEncoding) -> ProxyScore: ...
 
 
 class FitnessSource(Protocol):
@@ -95,7 +101,8 @@ class SearchResult:
     config: EvolutionConfig
     history: list[EvaluatedModel]
     cycle_log: list[CycleLog]
-    num_proxy_evals: int
+    num_proxy_evals: int  # scores requested, cache hits included
+    num_proxy_computed: int  # distinct cells scored by the proxy source
     proxy_wall_seconds: float
 
     @property
@@ -184,15 +191,20 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     """
     proxy_wall = 0.0
     num_proxy = 0
+    memo: dict[int, ProxyScore] = {}
 
-    def scored(arch: ArchEncoding, rng: np.random.Generator) -> Optional[ProxyScore]:
+    def scored(arch: ArchEncoding) -> Optional[ProxyScore]:
+        """The cell's score, computed (and timed) on its first request only."""
         nonlocal proxy_wall, num_proxy
         if proxy is None:
             return None
-        tic = time.perf_counter()
-        s = proxy.score(arch, rng)
-        proxy_wall += time.perf_counter() - tic
         num_proxy += 1
+        key = arch.index
+        s = memo.get(key)
+        if s is None:
+            tic = time.perf_counter()
+            s = memo[key] = proxy.score(arch)
+            proxy_wall += time.perf_counter() - tic
         return s
 
     history: list[EvaluatedModel] = []
@@ -205,9 +217,8 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
 
     candidates = []
     for i in range(pool):
-        rng = _candidate_rng(config.seed, i)
-        arch = random_arch(rng)
-        candidates.append((arch, scored(arch, rng)))
+        arch = random_arch(_candidate_rng(config.seed, i))
+        candidates.append((arch, scored(arch)))
     kept = range(keep)
     if proxy is not None:
         order = sorted(range(pool), key=lambda i: candidates[i][1].z, reverse=True)
@@ -222,9 +233,8 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         parent = tournament_select(history[-keep:], config.S, main_rng)
         logs = []
         for j in range(children):
-            rng = _child_rng(config.seed, cycle, j)
-            child = mutate(parent.arch, rng)
-            logs.append(ChildLog(child, scored(child, rng)))
+            child = mutate(parent.arch, _child_rng(config.seed, cycle, j))
+            logs.append(ChildLog(child, scored(child)))
         # Best proxy z (an invalid child's -inf loses to any valid one),
         # earlier child winning ties.
         best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy.z)
@@ -236,7 +246,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
 
     return SearchResult(method=method, config=config, history=history,
                         cycle_log=cycle_log, num_proxy_evals=num_proxy,
-                        proxy_wall_seconds=proxy_wall)
+                        num_proxy_computed=len(memo), proxy_wall_seconds=proxy_wall)
 
 
 def run_search(config: EvolutionConfig, proxy: ProxySource,

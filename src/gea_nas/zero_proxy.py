@@ -179,17 +179,23 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
 
 
 class JacobianProxySource:
-    """score_architecture bound to a fixed batch, shaped for the search loop.
+    """score_architecture bound to a fixed batch and run seed, shaped for the
+    search loop.
 
-    The per-child rng passed by the loop seeds the weight initialization, so
-    scoring stays deterministic and order-independent across children.
+    Each cell is scored at one weight initialization, drawn from
+    SeedSequence((seed, 4, cell index)). A score is then a function of
+    (batch, config, seed, cell) alone: the same cell scores the same whenever
+    and however often it is asked for, so the loop may cache it. The seed is
+    part of the key because runs of different seeds can share one file batch.
     """
 
-    def __init__(self, batch: Batch, config: ProxyConfig | None = None):
+    def __init__(self, batch: Batch, config: ProxyConfig | None = None, seed: int = 0):
         self.batch = batch
         self.config = config if config is not None else ProxyConfig()
+        self.seed = seed
 
-    def score(self, arch: ArchEncoding, rng: np.random.Generator) -> ProxyScore:
+    def score(self, arch: ArchEncoding) -> ProxyScore:
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 4, arch.index)))
         return score_architecture(arch, self.batch, self.config, rng)
 
 

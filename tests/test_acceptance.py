@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, mannwhitneyu
 
-from gea_nas.arch_space import ArchEncoding, mutate, random_arch
+from gea_nas.arch_space import mutate, random_arch
 from gea_nas.autodiff_core import grad_check
 from gea_nas.benchmark_store import (
     NoisyProxySource,

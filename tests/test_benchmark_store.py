@@ -13,7 +13,6 @@ from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, encode_str, enumerate_a
 from gea_nas.benchmark_store import (
     NOMINAL_TRAIN_SECONDS,
     BenchRecord,
-    CalibrationError,
     JsonlFormatError,
     NoisyProxySource,
     StoreLookupError,

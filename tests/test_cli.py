@@ -1,7 +1,6 @@
 import csv
 import json
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +14,13 @@ from gea_nas.benchmark_store import (
     dump_jsonl,
 )
 from gea_nas.experiment_cli import _OPTIONS, build_parser, build_run_config, main, mean_std
-from gea_nas.zero_proxy import Batch, read_batch_file, write_batch_file
+from gea_nas.zero_proxy import (
+    Batch,
+    JacobianProxySource,
+    ProxyConfig,
+    read_batch_file,
+    write_batch_file,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +177,22 @@ def test_report_identical_for_identical_runs(tmp_path, capsys):
     assert "600.00" in reports[0]  # 6 trained models x 100 s each
 
 
+def test_report_over_a_search_directory_skips_the_aggregate(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["search", "--method", "rea", "--C", "10", "--seeds", "0,1",
+                 "--out", str(out)]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert [p.name for p in paths] == ["rea_report.json", "rea_seed0.json", "rea_seed1.json"]
+    files = list(map(str, paths))
+    capsys.readouterr()
+    assert main(["report", *files]) == 0
+    globbed = capsys.readouterr().out
+    assert main(["report", *files[1:]]) == 0
+    assert globbed == capsys.readouterr().out
+    assert main(["report", files[0]]) == 2
+    assert capsys.readouterr().err.startswith("error: no per-seed")
+
+
 def test_report_rejects_non_result_file(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text(json.dumps({"foo": 1}))
@@ -297,6 +318,11 @@ def test_proxy_mode_runs(tmp_path):
     assert doc["num_proxy_evals"] == 6 + 4 * 2
     zs = [c["z"] for cycle in doc["cycles"] for c in cycle["children"]]
     assert any(z is not None for z in zs)
+    # the computed-score count is reported in the aggregate only
+    assert "num_proxy_computed" not in doc
+    row = json.loads((out / "gea_report.json").read_text())["per_seed"][0]
+    assert row["proxy_evals"] == doc["num_proxy_evals"]
+    assert 1 <= row["proxy_computed"] <= row["proxy_evals"]
 
 
 @pytest.mark.parametrize("file_k,num_classes,expected", [(10, 10, 0), (3, 10, 2),
@@ -315,6 +341,24 @@ def test_proxy_mode_with_batch_file(tmp_path, capsys, file_k, num_classes, expec
     assert (out / "gea_seed0.json").exists() == (expected == 0)
     if expected:
         assert "classes" in capsys.readouterr().err
+
+
+def test_seeds_sharing_a_file_batch_score_a_cell_differently(tmp_path):
+    rng = np.random.default_rng(0)
+    batch_file = tmp_path / "batch.bin"
+    write_batch_file(batch_file, Batch(images=rng.normal(size=(12, 3, 8, 8)),
+                                       labels=np.arange(12) % 10, num_classes=10))
+    out = tmp_path / "out"
+    assert main(["search", "--mode", "proxy", "--C", "4", "--P", "2",
+                 "--batch-file", str(batch_file), "--seeds", "0,1", "--out", str(out)]) == 0
+    batch = read_batch_file(batch_file)
+    for seed in (0, 1):
+        doc = json.loads((out / f"gea_seed{seed}.json").read_text())
+        model = next(m for m in doc["history"] if m["proxy_valid"])
+        arch = parse_str(model["arch"])
+        z = {s: JacobianProxySource(batch, ProxyConfig(), s).score(arch).z for s in (0, 1)}
+        assert model["proxy_z"] == z[seed]
+        assert z[0] != z[1]
 
 
 @pytest.mark.parametrize("command", [["search", "--seeds", "0,1,2"],

@@ -15,7 +15,14 @@ from gea_nas.guided_evolution import (
     run_search,
     tournament_select,
 )
-from gea_nas.zero_proxy import INVALID_SCORE, ProxyScore
+from gea_nas.network_builder import SkeletonConfig
+from gea_nas.zero_proxy import (
+    INVALID_SCORE,
+    JacobianProxySource,
+    ProxyConfig,
+    ProxyScore,
+    make_batch,
+)
 
 
 class StubRng:
@@ -31,12 +38,12 @@ class StubRng:
 class IndexProxy:
     """z equals the architecture's space index: a fixed, known total order."""
 
-    def score(self, arch, rng=None):
+    def score(self, arch):
         return ProxyScore(z=float(arch.index))
 
 
 class ConstantProxy:
-    def score(self, arch, rng=None):
+    def score(self, arch):
         return ProxyScore(z=1.0)
 
 
@@ -229,7 +236,7 @@ def test_constant_proxy_admits_first_child():
 
 def test_invalid_scores_rank_below_valid():
     class MostlyInvalidProxy:
-        def score(self, arch, rng=None):
+        def score(self, arch):
             if arch.index % 3 == 0:
                 return ProxyScore(z=float(arch.index))
             return INVALID_SCORE
@@ -248,7 +255,7 @@ class MaskedProxy:
     def __init__(self, mask_seed, invalid_share):
         self.invalid = np.random.default_rng(mask_seed).random(SPACE_SIZE) < invalid_share
 
-    def score(self, arch, rng=None):
+    def score(self, arch):
         if self.invalid[arch.index]:
             return INVALID_SCORE
         return ProxyScore(z=float(arch.index % 3))
@@ -287,11 +294,47 @@ def test_invalid_scores_rank_last_property(seed, mask_seed, invalid_share, p, ex
         assert result.history[p + log.cycle].proxy is scores[log.admitted_index]
 
 
+class CountingProxy:
+    """Wraps a proxy source and records the cell index of every score() call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def score(self, arch):
+        self.calls.append(arch.index)
+        return self.inner.score(arch)
+
+
+# A 3x3 single-channel skeleton keeps a real Jacobian score under ~1 ms.
+TINY_PROXY = ProxyConfig(batch_size=6, skeleton=SkeletonConfig(
+    in_channels=1, image_hw=3, stem_channels=2, num_classes=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 15))
+def test_cached_scores_equal_fresh_scores(seed, p, extra):
+    batch = make_batch(TINY_PROXY, np.random.default_rng(seed))
+    proxy = CountingProxy(JacobianProxySource(batch, TINY_PROXY, seed))
+    config = EvolutionConfig(C=p + extra, P=p, seed=seed)
+    result = run_search(config, proxy, IndexLandscape())
+
+    fresh = JacobianProxySource(batch, TINY_PROXY, seed)
+    children = [c for log in result.cycle_log for c in log.children]
+    for item in [*result.history, *children]:
+        assert item.proxy == fresh.score(item.arch)
+    requested = [random_arch(_candidate_rng(seed, i)).index for i in range(config.C)]
+    requested += [c.arch.index for c in children]
+    assert result.num_proxy_evals == len(requested)
+    assert sorted(proxy.calls) == sorted(set(requested))  # each cell computed once
+    assert result.num_proxy_computed == len(set(requested))
+
+
 def test_rea_baseline_shape():
     config = EvolutionConfig(C=30, P=5, S=2, seed=7)
     result = run_rea_baseline(config, SyntheticLandscape(7))
     assert result.method == "rea"
-    assert result.num_proxy_evals == 0
+    assert result.num_proxy_evals == result.num_proxy_computed == 0
     assert result.num_fitness_evals == 30
     assert all(len(log.children) == 1 and log.children[0].proxy is None
                for log in result.cycle_log)
@@ -410,7 +453,7 @@ def test_json_dict_shape():
 
 def test_json_null_for_invalid_proxy():
     class AlwaysInvalid:
-        def score(self, arch, rng=None):
+        def score(self, arch):
             return INVALID_SCORE
 
     config = EvolutionConfig(C=6, P=2, seed=8)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gea_nas.arch_space import ArchEncoding, Operation, random_arch
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, random_arch
 from gea_nas.autodiff_core import CompGraph
 from gea_nas.network_builder import MicroNetwork, SkeletonConfig, build_network
 from gea_nas.zero_proxy import (
@@ -316,8 +318,23 @@ def test_sigma_properties_sample():
 
 def test_jacobian_proxy_source_matches_direct_call():
     batch = small_batch(seed=20)
-    source = JacobianProxySource(batch)
     arch = ArchEncoding.from_index(11111)
-    via_source = source.score(arch, np.random.default_rng(21))
-    direct = score_architecture(arch, batch, rng=np.random.default_rng(21))
-    assert via_source == direct
+    for seed in (0, 21):
+        via_source = JacobianProxySource(batch, seed=seed).score(arch)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 4, arch.index)))
+        assert via_source == score_architecture(arch, batch, rng=rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, SPACE_SIZE - 1), st.integers(0, SPACE_SIZE - 1),
+       st.integers(0, 2**32 - 1))
+def test_jacobian_proxy_source_scores_do_not_depend_on_order(a, b, seed):
+    config = ProxyConfig(batch_size=6, skeleton=SkeletonConfig(
+        in_channels=1, image_hw=3, stem_channels=2, num_classes=2))
+    batch = make_batch(config, np.random.default_rng(seed))
+    first, second = ArchEncoding.from_index(a), ArchEncoding.from_index(b)
+    forward = JacobianProxySource(batch, config, seed)
+    backward = JacobianProxySource(batch, config, seed)
+    a_then_b = [forward.score(first), forward.score(second)]
+    b_then_a = [backward.score(second), backward.score(first)]
+    assert a_then_b == b_then_a[::-1]
