@@ -50,9 +50,9 @@ GOLDEN = {
         "44c3b333ff3d4c7864f674560a0cdf852ff116a6341c377a06610b34ed3e4ae9",
     ),
     "gea_proxy": (
-        "684d1d776b6b8e3471e9825faf35fcabb446d65b31d1f5f0ea0da8cf52c506c0",
-        "ee5ce4345e0f9e920164e725cdf4c3c1b4dfea83d4993fe2d1819fb523c26333",
-        "a17592c913ed42e04735f62bf4b7e667f9a42fc19195654a407d69af97b4562e",
+        "cf3f23670fc132ad00ae7c47f4b943162dfc7e965d3229782c74d90cae0a54af",
+        "1a1ab028759207203274221f8a1aa1326dc1929664485e877f0649006b676bfd",
+        "c8ac8792626cb0420162a3acef4b6d5f8a3107eb4c3f545b37ed3fe72fce7a52",
     ),
 }
 
