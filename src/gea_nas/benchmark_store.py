@@ -18,6 +18,7 @@ reporting only and must never influence selection.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +56,8 @@ class BenchRecord:
     index: int = field(init=False, repr=False)  # space index of arch, parsed once
 
     def __post_init__(self) -> None:
+        if not isinstance(self.arch, str):
+            raise ValueError(f"arch must be a cell string, got {type(self.arch).__name__}")
         object.__setattr__(self, "index", parse_str(self.arch).index)
         if not 0.0 <= self.val_acc <= 100.0:
             raise ValueError(f"val_acc out of [0, 100]: {self.val_acc}")
@@ -177,6 +180,22 @@ class SyntheticLandscape:
         self.optimum_index = int(self.fitness.argmax())
         self.optimum_fitness = float(self.fitness[self.optimum_index])
 
+    # The two rankings below are computed on first use, by NoisyProxySource:
+    # scipy.stats is most of the package import time and no other path needs it.
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        """Average ranks of fitness, 1 for the lowest."""
+        from scipy import stats
+
+        return stats.rankdata(self.fitness)
+
+    @functools.cached_property
+    def normal_scores(self) -> np.ndarray:
+        """Normal quantiles of the ranks, ppf(rank / (SPACE_SIZE + 1))."""
+        from scipy import stats
+
+        return stats.norm.ppf(self.ranks / (SPACE_SIZE + 1))
+
     def fitness_of(self, arch) -> float:
         return float(self.fitness[_arch_key(arch)])
 
@@ -218,11 +237,10 @@ class NoisyProxySource:
     def __init__(self, landscape: SyntheticLandscape, rho: float, seed: int):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        from scipy import stats  # most of the package import time; only mock mode needs it
+        from scipy import stats
 
         self.rho = rho
-        ranks = stats.rankdata(landscape.fitness)
-        signal = stats.norm.ppf(ranks / (SPACE_SIZE + 1))
+        ranks, signal = landscape.ranks, landscape.normal_scores
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830202)))
         noise = rng.normal(0.0, 1.0, size=SPACE_SIZE)
 
@@ -230,7 +248,9 @@ class NoisyProxySource:
             return a * signal + np.sqrt(max(1.0 - a * a, 0.0)) * noise
 
         def spearman(a: float) -> float:
-            return float(stats.spearmanr(mix(a), landscape.fitness).statistic)
+            # Pearson of the ranks against the landscape's cached ranks: the
+            # same float as stats.spearmanr(mix(a), landscape.fitness)
+            return float(np.corrcoef(stats.rankdata(mix(a)), ranks)[0, 1])
 
         if rho >= 1.0:
             a = 1.0

@@ -93,6 +93,7 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
     cur = graph.add("conv", 0, weight=_he_conv(rng, cs, skeleton.in_channels, 3))
     cur = graph.add("bn", cur)
 
+    ops = arch.ops
     num_cells = skeleton.num_stages * skeleton.cells_per_stage
     for _ in range(num_cells):
         nodes = [cur]
@@ -101,7 +102,7 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
             for edge_idx, (src, dst) in enumerate(EDGES):
                 if dst != node:
                     continue
-                op = arch.ops[edge_idx]
+                op = ops[edge_idx]
                 if op is Operation.NONE:
                     continue
                 if op is Operation.SKIP_CONNECT:

@@ -220,7 +220,7 @@ def test_criterion_8_benchmark_reproduction():
         gea_test, rea_test, sims = [], [], []
         for seed in range(10):
             config = EvolutionConfig(C=150, P=5, S=2, seed=seed, dataset="cifar10")
-            proxy = JacobianProxySource(batch, ProxyConfig(skeleton=skeleton))
+            proxy = JacobianProxySource(batch, ProxyConfig(skeleton=skeleton), seed=seed)
             guided = run_search(config, proxy, store)
             plain = run_rea_baseline(config, store)
             gea_test.append(guided.best.test_acc)

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gea_nas.arch_space import (
@@ -46,11 +50,31 @@ def test_space_constants():
 
 
 def test_encoding_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 6 edge operations, got 5"):
         ArchEncoding((Operation.NONE,) * 5)
+    with pytest.raises(ValueError, match="expected 6 edge operations, got 7"):
+        ArchEncoding((Operation.NONE,) * 7)
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"{bad} is not a valid Operation"):
+            ArchEncoding((0, 1, 2, 3, 4, bad))
     # plain ints are coerced to Operation
     a = ArchEncoding((0, 1, 2, 3, 4, 0))
     assert a.ops[4] is Operation.AVG_POOL_3X3
+    assert a == ArchEncoding.from_index(a.index)
+
+
+def test_encoding_is_immutable_and_keyed_by_index():
+    a = ArchEncoding.from_index(8123)
+    with pytest.raises(AttributeError):
+        a.index = 1
+    with pytest.raises(AttributeError):
+        a.ops = ALL_NONE.ops
+    with pytest.raises(AttributeError):
+        del a.index
+    assert all(type(op) is Operation for op in a.ops)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a != 8123 and a != a.ops
+    assert eval(repr(a), {"ArchEncoding": ArchEncoding}) == a
 
 
 def test_index_boundaries():
@@ -117,6 +141,35 @@ def test_parse_errors_name_offender():
 
 def test_random_arch_stub_all_zero():
     assert random_arch(StubRng([0] * 6)) == ALL_NONE
+
+
+def reference_random_arch(rng) -> ArchEncoding:
+    """The enum-based sampler the index arithmetic replaced."""
+    return ArchEncoding(tuple(Operation(int(rng.integers(NUM_OPS))) for _ in range(NUM_EDGES)))
+
+
+def reference_mutate(parent: ArchEncoding, rng) -> ArchEncoding:
+    """The enum-based mutation the index arithmetic replaced."""
+    edge = int(rng.integers(NUM_EDGES))
+    pool = [op for op in Operation if op != parent.ops[edge]]
+    new_op = pool[int(rng.integers(NUM_OPS - 1))]
+    ops = list(parent.ops)
+    ops[edge] = new_op
+    return ArchEncoding(tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), parent=st.integers(0, SPACE_SIZE - 1),
+       steps=st.integers(1, 20))
+def test_sampling_matches_enum_reference(seed, parent, steps):
+    # Same rng stream in, same cells and same remaining stream out.
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_arch(ours).index == reference_random_arch(ref).index
+    a = b = ArchEncoding.from_index(parent)
+    for _ in range(steps):
+        a, b = mutate(a, ours), reference_mutate(b, ref)
+        assert a.index == b.index
+    assert ours.integers(2**62) == ref.integers(2**62)
 
 
 def test_random_arch_uniform_marginals():

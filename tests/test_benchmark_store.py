@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
+from scipy.stats import norm, rankdata, spearmanr
 
 import gea_nas
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, encode_str, enumerate_all
@@ -70,6 +70,44 @@ def test_unknown_op_rejected(tmp_path):
     bad["arch"] = ALL_NONE_STR.replace("none~0|+", "conv_7x7~0|+", 1)
     with pytest.raises(JsonlFormatError, match="line 1.*conv_7x7"):
         load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
+
+
+GOOD_GROUPS = ["|none~0|", "|none~0|none~1|", "|none~0|none~1|none~2|"]
+
+
+def cell(group_index: int, group: str) -> str:
+    groups = list(GOOD_GROUPS)
+    groups[group_index] = group
+    return "+".join(groups)
+
+
+@pytest.mark.parametrize("arch,message", [
+    (cell(0, "|bad_op~0|"), "unknown operation tag in token 'bad_op~0'"),
+    (cell(0, "|none~1|"), "token 'none~1': expected source node 0"),
+    (cell(2, "|none~0|none~2|none~2|"), "token 'none~2': expected source node 1"),
+    ("+".join(GOOD_GROUPS[:2]), "expected 3 node groups separated by '+', got 2"),
+    ("+".join(GOOD_GROUPS + ["|none~0|"]), "expected 3 node groups separated by '+', got 4"),
+    (cell(0, "|none0|"), "malformed token 'none0': missing '~'"),
+    (cell(1, "|none~0|"), "node group 2 expects 2 tokens, got 1"),
+    (cell(2, "|none~0|none~1|none~2|none~3|"), "node group 3 expects 3 tokens, got 4"),
+    (cell(0, "none~0|"), "node group 1 must be '|'-delimited, got 'none~0|'"),
+    (cell(1, "|none~0|none~1| "), "node group 2 must be '|'-delimited, got '|none~0|none~1| '"),
+    (cell(2, "|none~0| none~1|none~2|"), "unknown operation tag in token ' none~1'"),
+])
+def test_cell_parse_errors_name_line_and_fault(tmp_path, arch, message):
+    bad = json.loads(EXAMPLE_LINE)
+    bad["arch"] = arch
+    with pytest.raises(JsonlFormatError) as excinfo:
+        load_jsonl(write_lines(tmp_path, [EXAMPLE_LINE, json.dumps(bad)]))
+    assert str(excinfo.value) == f"line 2: {message}"
+
+
+def test_non_string_arch_rejected(tmp_path):
+    bad = json.loads(EXAMPLE_LINE)
+    bad["arch"] = 5
+    with pytest.raises(JsonlFormatError) as excinfo:
+        load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
+    assert str(excinfo.value) == "line 1: arch must be a cell string, got int"
 
 
 def test_accuracy_out_of_range_rejected(tmp_path):
@@ -163,6 +201,22 @@ def test_noisy_proxy_hits_target_band(rho):
     assert emp == pytest.approx(proxy.empirical_spearman)
 
 
+def test_noisy_proxy_spearman_equals_scipy_spearmanr():
+    # The calibration takes each step's Spearman against the landscape's
+    # cached ranks; it must be the very float spearmanr gives.
+    land = SyntheticLandscape(12)
+    for rho, seed in ((0.3, 0), (0.5, 1), (0.9, 2)):
+        proxy = NoisyProxySource(land, rho, seed=seed)
+        assert proxy.empirical_spearman == float(spearmanr(proxy.values, land.fitness).statistic)
+
+
+def test_landscape_rank_cache():
+    land = SyntheticLandscape(13)
+    assert land.ranks is land.ranks
+    assert np.array_equal(land.ranks, rankdata(land.fitness))
+    assert np.array_equal(land.normal_scores, norm.ppf(land.ranks / (SPACE_SIZE + 1)))
+
+
 def test_noisy_proxy_deterministic_per_seed():
     land = SyntheticLandscape(9)
     a = NoisyProxySource(land, 0.7, seed=2)
@@ -186,11 +240,25 @@ def test_proxy_score_interface():
     assert score.valid and score.z == float(proxy.values[123])
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
+PROXY_SEARCH_CODE = """
+import sys
+from gea_nas import SyntheticLandscape
+from gea_nas.experiment_cli import main
+SyntheticLandscape(0)
+code = main(["search", "--mode", "proxy", "--C", "6", "--P", "2", "--batch-size", "12",
+             "--seeds", "0", "--out", sys.argv[1]])
+assert code == 0, code
+"""
+
+
+def test_package_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats is most of the package's import time and only the noisy
-    # proxy's calibration uses it
-    code = "import sys, gea_nas; print('scipy.stats' in sys.modules)"
+    # proxy's calibration uses it; a landscape computes its ranks only when
+    # a noisy proxy asks for them
     src = str(Path(gea_nas.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    for code in ("import gea_nas", PROXY_SEARCH_CODE):
+        code += "\nimport sys; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip().splitlines()[-1] == "False"
