@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ NOMINAL_TRAIN_SECONDS = 100.0
 INTERACTION_SCALE_DEFAULT = 0.4
 
 _RECORD_FIELDS = ("arch", "dataset", "val_acc", "test_acc", "train_seconds")
+_NUMBER_FIELDS = ("val_acc", "test_acc", "train_seconds")
 
 
 class JsonlFormatError(ValueError):
@@ -124,11 +126,16 @@ def load_jsonl(path: str | Path) -> TabularStore:
                 raise JsonlFormatError(
                     f"line {lineno}: expected exactly fields {list(_RECORD_FIELDS)}")
             try:
-                rec = BenchRecord(arch=obj["arch"], dataset=str(obj["dataset"]),
-                                  val_acc=float(obj["val_acc"]),
-                                  test_acc=float(obj["test_acc"]),
-                                  train_seconds=float(obj["train_seconds"]))
-            except (CellParseError, ValueError, TypeError) as exc:
+                # json.loads also yields NaN and Infinity, and float() would
+                # take a bool or a numeric string
+                for name in _NUMBER_FIELDS:
+                    value = obj[name]
+                    if type(value) not in (int, float) or not math.isfinite(value):
+                        raise ValueError(
+                            f"{name} must be a finite number, got {json.dumps(value)}")
+                rec = BenchRecord(obj["arch"], str(obj["dataset"]), float(obj["val_acc"]),
+                                  float(obj["test_acc"]), float(obj["train_seconds"]))
+            except (CellParseError, ValueError, TypeError, OverflowError) as exc:
                 raise JsonlFormatError(f"line {lineno}: {exc}") from None
             key = (rec.index, rec.dataset)
             if key in seen:

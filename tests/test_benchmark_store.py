@@ -117,6 +117,30 @@ def test_accuracy_out_of_range_rejected(tmp_path):
         load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
 
 
+@pytest.mark.parametrize("field", ["val_acc", "test_acc", "train_seconds"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "true", '"12"'])
+def test_number_fields_must_be_finite_json_numbers(tmp_path, field, token):
+    line = EXAMPLE_LINE.replace(f'"{field}": {json.loads(EXAMPLE_LINE)[field]}',
+                                f'"{field}": {token}')
+    assert token in line
+    with pytest.raises(JsonlFormatError) as excinfo:
+        load_jsonl(write_lines(tmp_path, [line]))
+    assert str(excinfo.value) == f"line 1: {field} must be a finite number, got {token}"
+
+
+def test_integer_beyond_float_range_rejected(tmp_path):
+    line = EXAMPLE_LINE.replace('"train_seconds": 100.0', '"train_seconds": 1' + "0" * 400)
+    with pytest.raises(JsonlFormatError, match="line 1: int too large"):
+        load_jsonl(write_lines(tmp_path, [line]))
+
+
+def test_integer_numbers_accepted(tmp_path):
+    line = json.dumps({**json.loads(EXAMPLE_LINE), "val_acc": 10, "train_seconds": 0})
+    rec = load_jsonl(write_lines(tmp_path, [line])).lookup(ALL_NONE_STR, "cifar10")
+    assert (rec.val_acc, rec.train_seconds) == (10.0, 0.0)
+    assert type(rec.val_acc) is float
+
+
 def test_lookup_not_found_never_defaults(tmp_path):
     store = load_jsonl(write_lines(tmp_path, [EXAMPLE_LINE]))
     with pytest.raises(StoreLookupError):

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gea_nas
 from gea_nas import experiment_cli
 from gea_nas.arch_space import encode_str, enumerate_all, parse_str
 from gea_nas.benchmark_store import (
@@ -323,6 +328,71 @@ def test_proxy_mode_runs(tmp_path):
     row = json.loads((out / "gea_report.json").read_text())["per_seed"][0]
     assert row["proxy_evals"] == doc["num_proxy_evals"]
     assert 1 <= row["proxy_computed"] <= row["proxy_evals"]
+
+
+# Two identical proxy searches in one process; prints the second one's minor
+# page faults per computed proxy score, or "null" where mallopt is missing.
+FAULTS_CODE = """
+import json, sys
+from gea_nas import experiment_cli
+if not experiment_cli._keep_freed_heap():
+    print("null")
+    sys.exit(0)
+import resource
+args = ["search", "--mode", "proxy", "--C", "30", "--seeds", "0"]
+assert experiment_cli.main(args + ["--out", sys.argv[1] + "/a"]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert experiment_cli.main(args + ["--out", sys.argv[1] + "/b"]) == 0
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+report = json.load(open(sys.argv[1] + "/b/gea_report.json"))
+print(faults / report["per_seed"][0]["proxy_computed"])
+"""
+
+
+def test_proxy_scores_reuse_freed_heap(tmp_path):
+    # glibc would otherwise hand each score's feature maps back to the kernel
+    # and fault them in again for the next score (~750 faults per score)
+    src = str(Path(gea_nas.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FAULTS_CODE, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    line = out.stdout.strip().splitlines()[-1]
+    if line == "null":
+        pytest.skip("no glibc mallopt in this C library")
+    assert float(line) < 20
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                         ids=["no-mallopt", "no-handle"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(experiment_cli.ctypes, "CDLL", cdll)
+    assert experiment_cli._keep_freed_heap() is False
+    out = tmp_path / "out"
+    assert main(["search", "--mode", "proxy", "--C", "6", "--P", "2",
+                 "--batch-size", "12", "--seeds", "0", "--out", str(out)]) == 0
+    assert (out / "gea_seed0.json").is_file() and (out / "gea_report.json").is_file()
+
+
+def test_result_files_are_compact_finite_json(tmp_path):
+    out = tmp_path / "out"
+    assert main(["search", "--mode", "proxy", "--C", "6", "--P", "2",
+                 "--batch-size", "12", "--seeds", "0", "--out", str(out)]) == 0
+    for path in out.iterdir():
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_non_finite_result_is_an_error_not_a_file(tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        experiment_cli._write_json(path, {"z": float("nan")})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("file_k,num_classes,expected", [(10, 10, 0), (3, 10, 2),
