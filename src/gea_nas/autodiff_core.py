@@ -1,10 +1,14 @@
 """Dense float64 kernels and a record-based graph with reverse-mode
 differentiation back to the network input.
 
-Tensors are plain numpy float64 arrays, (N, C, H, W) for feature maps and
-(N, F) for classifier outputs. Only input gradients are needed (networks are
-scored untrained), so weights are constants of the graph and no parameter
-gradients are kept.
+Tensors are plain numpy float64 arrays. Every feature map inside a CompGraph,
+and every kernel operand, is channel-major with the sample axis at 1:
+(C, N, H, W), and (C, N) after global average pooling. CompGraph.forward
+copies its (N, C, H, W) batch into that layout once and backward_to_input
+hands the input gradient back as (N, C, H, W); linear is the one kernel that
+puts samples first, flattening to (N, F) for (N, K) logits. Only input
+gradients are needed (networks are scored untrained), so weights are
+constants of the graph and no parameter gradients are kept.
 
 Conventions:
   - convolutions are cross-correlations, stride 1, zero padding (k-1)/2,
@@ -16,15 +20,16 @@ Conventions:
   - the ReLU gradient at exactly 0 is 0.
 
 Kernel forms:
-  - a 3x3 conv is one GEMM of the (Cout, Cin*9) weights with a channel-major
-    patch matrix (Cin*9, N*H*W); a 1x1 conv is a batched matmul over N;
+  - a conv is one GEMM of the (Cout, Cin*k*k) weights with a (Cin*k*k, N*H*W)
+    matrix whose (Cout, N*H*W) product is the output map: the input itself
+    for a 1x1 kernel, its patch matrix for a 3x3 kernel;
   - the conv input gradient is the forward conv with each kernel flipped
     spatially and Cin/Cout swapped, its adjoint;
   - pooling is separable: each element sums its neighbours along W, those
     sums are summed along H, and the total is divided by 9; the same
     stencil is its own gradient;
   - batch norm centres its input once and squares the centred values for
-    the variance.
+    the variance; its statistics reduce one contiguous row per channel.
 
 Every kernel runs a fixed sequence of numpy operations, so results are
 reproducible bit for bit on a given machine, numpy build and BLAS; another
@@ -55,14 +60,14 @@ class GraphStateError(RuntimeError):
 
 
 def _patches_3x3(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> channel-major patch matrix (C*9, N*H*W), zero padding 1.
+    """(C, N, H, W) -> patch matrix (C*9, N*H*W), zero padding 1.
 
     Row c*9 + i*3 + j holds channel c shifted by (i-1, j-1), which matches the
     (C, 3, 3) order of a flattened weight row.
     """
-    n, c, h, w = x.shape
+    c, n, h, w = x.shape
     xp = np.zeros((c, n, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    xp[:, :, 1:-1, 1:-1] = x
     cols = np.empty((c, 3, 3, n, h, w))
     for i in range(3):
         for j in range(3):
@@ -73,27 +78,20 @@ def _patches_3x3(x: np.ndarray) -> np.ndarray:
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """conv2d without the operand checks. The input gradient calls this
     directly, so conv2d itself runs only for forward convolutions."""
-    n, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
-    if k == 1:
-        # No patch matrix to build: a batched matmul reads x in place.
-        out = w.reshape(cout, cin) @ x.reshape(n, cin, h * wd)
-        return out.reshape(n, cout, h, wd)
-    out = w.reshape(cout, -1) @ _patches_3x3(x)
-    return out.reshape(cout, n, h, wd).transpose(1, 0, 2, 3)
+    cin, n, h, wd = x.shape
+    cout = w.shape[0]
+    cols = x.reshape(cin, -1) if w.shape[2] == 1 else _patches_3x3(x)
+    return (w.reshape(cout, -1) @ cols).reshape(cout, n, h, wd)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cross-correlation of (N, Cin, H, W) with weights (Cout, Cin, k, k), k in {1, 3}.
-
-    A 3x3 output is a channel-major view: (Cout, N, H, W) memory seen as
-    (N, Cout, H, W).
-    """
+    """Cross-correlation of (Cin, N, H, W) with weights (Cout, Cin, k, k), k in {1, 3},
+    giving (Cout, N, H, W)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
     _, cin_w, k, k2 = w.shape
-    if x.shape[1] != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weights {cin_w}")
+    if x.shape[0] != cin_w:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape[0]}, weights {cin_w}")
     if k != k2 or k not in (1, 3):
         raise ShapeError(f"conv2d kernel must be 1x1 or 3x3, got {k}x{k2}")
     return _correlate(x, w)
@@ -129,14 +127,10 @@ def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
 avg_pool_3x3_grad = avg_pool_3x3
 
 
-def batch_norm(x: np.ndarray, eps: float = BN_EPS) -> np.ndarray:
-    """Per-channel normalization by batch statistics over (N, H, W); scale 1, shift 0."""
-    out, _ = batch_norm_with_cache(x, eps)
-    return out
-
-
 def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
-    axes = (0, 2, 3)
+    """Per-channel normalization by batch statistics over (N, H, W); scale 1,
+    shift 0. Returns the output and the (xhat, inv_std) backward cache."""
+    axes = (1, 2, 3)
     xhat = x - x.mean(axis=axes, keepdims=True)
     var = np.square(xhat).mean(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -146,7 +140,7 @@ def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
 
 def batch_norm_input_grad(dout: np.ndarray, cache) -> np.ndarray:
     xhat, inv_std = cache
-    axes = (0, 2, 3)
+    axes = (1, 2, 3)
     dmean = dout.mean(axis=axes, keepdims=True)
     proj = dout * xhat
     dproj = proj.mean(axis=axes, keepdims=True)
@@ -166,13 +160,13 @@ def relu_input_grad(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(N, C, H, W) -> (N, C) spatial mean."""
+    """(C, N, H, W) -> (C, N) spatial mean."""
     return x.mean(axis=(2, 3))
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flatten x to (N, F) and apply xW + b; W is (F, K)."""
-    flat = x.reshape(x.shape[0], -1)
+    """Flatten x, sample axis at 1, to (N, F) and apply xW + b; W is (F, K)."""
+    flat = np.moveaxis(x, 1, 0).reshape(x.shape[1], -1)
     if flat.shape[1] != w.shape[0]:
         raise ShapeError(f"linear expects {w.shape[0]} features, got {flat.shape[1]}")
     return flat @ w + b
@@ -222,9 +216,10 @@ class CompGraph:
         return len(self.records) - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Execute all records in order; returns the logits and caches activations."""
+        """Execute all records on the (N, C, H, W) batch x in order; returns the
+        logits and caches activations."""
         recs = self.records
-        recs[0].out = np.asarray(x, dtype=np.float64)
+        recs[0].out = np.ascontiguousarray(np.transpose(x, (1, 0, 2, 3)), dtype=np.float64)
         for rec in recs[1:]:
             srcs = [recs[i].out for i in rec.inputs]
             if rec.kind == "conv":
@@ -248,7 +243,6 @@ class CompGraph:
             elif rec.kind == "gap":
                 rec.out = global_avg_pool(srcs[0])
             elif rec.kind == "linear":
-                rec.cache = srcs[0].shape
                 rec.out = linear(srcs[0], rec.weight, rec.bias)
         self._forward_done = True
         return recs[-1].out
@@ -286,15 +280,16 @@ class CompGraph:
             elif rec.kind == "zeros":
                 pass
             elif rec.kind == "gap":
-                n, c = g.shape
-                _, _, h, w = recs[rec.inputs[0]].out.shape
-                accumulate(rec.inputs[0], np.broadcast_to(g[:, :, None, None] / (h * w),
-                                                          (n, c, h, w)).copy())
+                shape = recs[rec.inputs[0]].out.shape
+                accumulate(rec.inputs[0], np.broadcast_to(
+                    g[:, :, None, None] / (shape[2] * shape[3]), shape).copy())
             elif rec.kind == "linear":
-                accumulate(rec.inputs[0], (g @ rec.weight.T).reshape(rec.cache))
+                flat = np.moveaxis(recs[rec.inputs[0]].out, 1, 0)
+                accumulate(rec.inputs[0],
+                           np.moveaxis((g @ rec.weight.T).reshape(flat.shape), 0, 1))
         if grads[0] is None:
             grads[0] = np.zeros_like(recs[0].out)
-        return grads[0]
+        return grads[0].transpose(1, 0, 2, 3)
 
     def relu_preacts(self) -> list[np.ndarray]:
         """Cached ReLU inputs from the latest forward (used for kink filtering)."""
@@ -304,15 +299,14 @@ class CompGraph:
 
 
 def grad_check(graph: CompGraph, x: np.ndarray, step: float = 1e-4,
-               num_samples: int | None = None, rng=None,
-               kink_filter: bool = True) -> float:
+               num_samples: int | None = None, rng=None) -> float:
     """Max relative error between backward_to_input and central differences.
 
     The relative error denominator is max(|analytic|, |numeric|, 1e-8).
     Checks every input element by default, or ``num_samples`` randomly chosen
-    elements. When ``kink_filter`` is set, elements whose +/-step perturbation
-    flips the sign of any ReLU preactivation are skipped: the finite-difference
-    secant straddles the kink there and is not a valid gradient estimate.
+    elements. Elements whose +/-step perturbation flips the sign of any ReLU
+    preactivation are skipped: the finite-difference secant straddles the kink
+    there and is not a valid gradient estimate.
     """
     x = np.asarray(x, dtype=np.float64)
     graph.forward(x)
@@ -338,7 +332,7 @@ def grad_check(graph: CompGraph, x: np.ndarray, step: float = 1e-4,
         s_plus, signs_plus = probe(xp)
         xp.flat[idx] -= 2 * step
         s_minus, signs_minus = probe(xp)
-        if kink_filter and any((a != b).any() for a, b in zip(signs_plus, signs_minus)):
+        if any((a != b).any() for a, b in zip(signs_plus, signs_minus)):
             continue
         numeric = (s_plus - s_minus) / (2.0 * step)
         a = float(analytic.flat[idx])

@@ -60,6 +60,8 @@ class BenchRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.arch, str):
             raise ValueError(f"arch must be a cell string, got {type(self.arch).__name__}")
+        if not isinstance(self.dataset, str):
+            raise ValueError(f"dataset must be a string, got {json.dumps(self.dataset, default=repr)}")
         object.__setattr__(self, "index", parse_str(self.arch).index)
         if not 0.0 <= self.val_acc <= 100.0:
             raise ValueError(f"val_acc out of [0, 100]: {self.val_acc}")
@@ -133,7 +135,7 @@ def load_jsonl(path: str | Path) -> TabularStore:
                     if type(value) not in (int, float) or not math.isfinite(value):
                         raise ValueError(
                             f"{name} must be a finite number, got {json.dumps(value)}")
-                rec = BenchRecord(obj["arch"], str(obj["dataset"]), float(obj["val_acc"]),
+                rec = BenchRecord(obj["arch"], obj["dataset"], float(obj["val_acc"]),
                                   float(obj["test_acc"]), float(obj["train_seconds"]))
             except (CellParseError, ValueError, TypeError, OverflowError) as exc:
                 raise JsonlFormatError(f"line {lineno}: {exc}") from None

@@ -110,6 +110,8 @@ class RunConfig:
                            "use fitness=synthetic")
         if not self.seeds:
             raise CliError("need at least one seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise CliError(f"seeds must be distinct non-negative integers, got {self.seeds}")
 
 
 def _parse_config_file(path: str) -> dict:

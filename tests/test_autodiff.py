@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gea_nas.arch_space import ArchEncoding, Operation
 from gea_nas.autodiff_core import (
     CompGraph,
     GraphStateError,
     ShapeError,
     avg_pool_3x3,
     avg_pool_3x3_grad,
-    batch_norm,
     batch_norm_input_grad,
     batch_norm_with_cache,
     conv2d,
@@ -17,9 +17,16 @@ from gea_nas.autodiff_core import (
     grad_check,
     relu_input_grad,
 )
+from gea_nas.network_builder import SkeletonConfig, build_network
 
 
 # Naive reference kernels, written independently of the patch-matrix path.
+# They take and return (N, C, H, W); the kernels under test take (C, N, H, W),
+# so each call site moves its operands with channel_major.
+
+def channel_major(x):
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+
 
 def conv2d_naive(x, w):
     n, cin, h, wd = x.shape
@@ -48,17 +55,17 @@ def avg_pool_naive(x):
 
 
 def test_conv_1x1_identity_kernel():
-    x = np.random.default_rng(0).normal(size=(2, 2, 4, 4))
+    x = np.random.default_rng(0).normal(size=(2, 3, 4, 4))
     w = np.eye(2).reshape(2, 2, 1, 1)
     assert np.array_equal(conv2d(x, w), x)
 
 
 def test_conv_constant_input_interior():
     c = 3.7
-    x = np.full((1, 2, 6, 6), c)
+    x = np.full((2, 1, 6, 6), c)
     w = np.random.default_rng(1).normal(size=(4, 2, 3, 3))
     out = conv2d(x, w)
-    interior = out[0, :, 1:-1, 1:-1]
+    interior = out[:, 0, 1:-1, 1:-1]
     expected = c * w.sum(axis=(1, 2, 3))
     assert np.allclose(interior, expected[:, None, None], atol=1e-12)
 
@@ -69,11 +76,12 @@ def test_conv_matches_naive_oracle(shape, kernel):
     rng = np.random.default_rng(sum(shape) + kernel)
     x = rng.normal(size=shape)
     w = rng.normal(size=(3, shape[1], kernel, kernel))
-    assert np.max(np.abs(conv2d(x, w) - conv2d_naive(x, w))) <= 1e-12
+    out = conv2d(channel_major(x), w)
+    assert np.max(np.abs(out - channel_major(conv2d_naive(x, w)))) <= 1e-12
 
 
 def test_conv_shape_errors():
-    x = np.zeros((1, 2, 4, 4))
+    x = np.zeros((2, 1, 4, 4))
     with pytest.raises(ShapeError):
         conv2d(x, np.zeros((3, 5, 3, 3)))  # channel mismatch
     with pytest.raises(ShapeError):
@@ -85,9 +93,9 @@ def test_conv_shape_errors():
 def test_conv_input_grad_is_adjoint():
     # <conv(x), y> must equal <x, conv_grad(y)> for a linear operator pair.
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 3, 5, 5))
+    x = rng.normal(size=(3, 2, 5, 5))
     w = rng.normal(size=(4, 3, 3, 3))
-    y = rng.normal(size=(2, 4, 5, 5))
+    y = rng.normal(size=(4, 2, 5, 5))
     lhs = np.sum(conv2d(x, w) * y)
     rhs = np.sum(x * conv2d_input_grad(y, w))
     assert abs(lhs - rhs) <= 1e-10
@@ -123,26 +131,26 @@ def test_avg_pool_is_self_adjoint():
 def test_batch_norm_moments():
     # epsilon (1e-5) shifts the output variance by eps/var(x); an input std
     # of 5 keeps that deviation under the 1e-6 bound being asserted.
-    x = 5.0 * np.random.default_rng(5).normal(size=(8, 3, 6, 6))
-    out = batch_norm(x)
-    mean = out.mean(axis=(0, 2, 3))
-    var = out.var(axis=(0, 2, 3))
+    x = 5.0 * np.random.default_rng(5).normal(size=(3, 8, 6, 6))
+    out = batch_norm_with_cache(x)[0]
+    mean = out.mean(axis=(1, 2, 3))
+    var = out.var(axis=(1, 2, 3))
     assert np.all(np.abs(mean) <= 1e-10)
     assert np.all(np.abs(var - 1.0) <= 1e-6)
 
 
 def test_batch_norm_constant_channel_is_zero():
-    x = np.full((4, 2, 3, 3), 7.0)
-    assert np.array_equal(batch_norm(x), np.zeros_like(x))
+    x = np.full((2, 4, 3, 3), 7.0)
+    assert np.array_equal(batch_norm_with_cache(x)[0], np.zeros_like(x))
 
 
 def test_batch_norm_matches_two_pass_oracle():
-    x = np.random.default_rng(6).normal(size=(4, 3, 5, 5))
-    out = batch_norm(x)
+    x = np.random.default_rng(6).normal(size=(3, 4, 5, 5))
+    out = batch_norm_with_cache(x)[0]
     for c in range(3):
-        vals = x[:, c]
+        vals = x[c]
         oracle = (vals - vals.mean()) / np.sqrt(vals.var() + 1e-5)
-        assert np.max(np.abs(out[:, c] - oracle)) <= 1e-10
+        assert np.max(np.abs(out[c] - oracle)) <= 1e-10
 
 
 def test_relu_grad_zero_at_kink():
@@ -153,24 +161,20 @@ def test_relu_grad_zero_at_kink():
 
 # --- property tests on random shapes --------------------------------------
 #
-# Shapes include H or W = 1 and H != W. The graph feeds kernels both NCHW
-# arrays and the channel-major views a 3x3 conv returns, so both layouts are
-# drawn.
+# Shapes include H or W = 1 and H != W. draw_map gives an (N, C, H, W) map
+# for the oracles.
 
 feature_maps = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
-                         st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+                         st.integers(1, 6), st.integers(0, 2**32 - 1))
 
 
-def draw_map(n, c, h, w, channel_major, seed):
-    x = np.random.default_rng(seed).normal(size=(n, c, h, w))
-    if channel_major:
-        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    return x
+def draw_map(n, c, h, w, seed):
+    return np.random.default_rng(seed).normal(size=(n, c, h, w))
 
 
 def bn_two_pass(x, eps=1e-5):
     """Batch norm as computed before the one-centring rewrite: (xhat, inv_std)."""
-    axes = (0, 2, 3)
+    axes = (1, 2, 3)
     mean = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -178,7 +182,7 @@ def bn_two_pass(x, eps=1e-5):
 
 
 def bn_grad_reference(dout, xhat, inv_std):
-    axes = (0, 2, 3)
+    axes = (1, 2, 3)
     dmean = dout.mean(axis=axes, keepdims=True)
     dproj = (dout * xhat).mean(axis=axes, keepdims=True)
     return inv_std * (dout - dmean - xhat * dproj)
@@ -189,18 +193,18 @@ def bn_grad_reference(dout, xhat, inv_std):
 def test_conv_matches_naive_oracle_on_random_shapes(shape, cout, k):
     x = draw_map(*shape)
     w = np.random.default_rng(shape[-1] + 1).normal(size=(cout, x.shape[1], k, k))
-    out = conv2d(x, w)
-    assert out.shape == (x.shape[0], cout) + x.shape[2:]
-    assert np.max(np.abs(out - conv2d_naive(x, w))) <= 1e-12
+    out = conv2d(channel_major(x), w)
+    assert out.shape == (cout, x.shape[0]) + x.shape[2:]
+    assert np.max(np.abs(out - channel_major(conv2d_naive(x, w)))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(feature_maps, st.integers(1, 4), st.sampled_from([1, 3]))
 def test_conv_adjoint_identity_on_random_shapes(shape, cout, k):
-    x = draw_map(*shape)
+    x = channel_major(draw_map(*shape))
     rng = np.random.default_rng(shape[-1] + 1)
-    w = rng.normal(size=(cout, x.shape[1], k, k))
-    y = rng.normal(size=(x.shape[0], cout) + x.shape[2:])
+    w = rng.normal(size=(cout, x.shape[0], k, k))
+    y = rng.normal(size=(cout,) + x.shape[1:])
     fwd = conv2d(x, w) * y
     adj = x * conv2d_input_grad(y, w)
     assert adj.shape == x.shape
@@ -211,13 +215,14 @@ def test_conv_adjoint_identity_on_random_shapes(shape, cout, k):
 @given(feature_maps)
 def test_avg_pool_matches_naive_oracle_on_random_shapes(shape):
     x = draw_map(*shape)
-    assert np.max(np.abs(avg_pool_3x3(x) - avg_pool_naive(x))) <= 1e-12
+    out = avg_pool_3x3(channel_major(x))
+    assert np.max(np.abs(out - channel_major(avg_pool_naive(x)))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(feature_maps)
 def test_avg_pool_adjoint_identity_on_random_shapes(shape):
-    x = draw_map(*shape)
+    x = channel_major(draw_map(*shape))
     y = np.random.default_rng(shape[-1] + 1).normal(size=x.shape)
     fwd = avg_pool_3x3(x) * y
     adj = x * avg_pool_3x3_grad(y)
@@ -227,7 +232,7 @@ def test_avg_pool_adjoint_identity_on_random_shapes(shape):
 @settings(max_examples=60, deadline=None)
 @given(feature_maps)
 def test_batch_norm_matches_two_pass_reference(shape):
-    x = draw_map(*shape)
+    x = channel_major(draw_map(*shape))
     dout = np.random.default_rng(shape[-1] + 1).normal(size=x.shape)
     xhat, (cached, inv_std) = batch_norm_with_cache(x)
     ref_xhat, ref_inv_std = bn_two_pass(x)
@@ -282,7 +287,7 @@ def test_forward_composition_matches_kernels():
     rid = g.add("gap", rid)
     g.add("linear", rid, weight=w_lin, bias=np.zeros(5))
     got = g.forward(x)
-    manual = np.maximum(conv2d(x, w_conv), 0.0).mean(axis=(2, 3)) @ w_lin
+    manual = np.maximum(conv2d(channel_major(x), w_conv), 0.0).mean(axis=(2, 3)).T @ w_lin
     assert np.allclose(got, manual, atol=1e-12)
 
 
@@ -358,7 +363,7 @@ def test_batch_norm_input_grad_matches_fd():
     # checked against the seed <BN(x), R> with a random R; an all-ones seed
     # would be degenerate here (BN gradients of a per-channel constant vanish)
     rng = np.random.default_rng(14)
-    x = rng.normal(size=(4, 2, 3, 3))
+    x = rng.normal(size=(2, 4, 3, 3))
     r = rng.normal(size=x.shape)
     _, cache = batch_norm_with_cache(x)
     analytic = batch_norm_input_grad(r, cache)
@@ -366,9 +371,9 @@ def test_batch_norm_input_grad_matches_fd():
     for idx in range(0, x.size, 7):
         xp = x.copy()
         xp.flat[idx] += h
-        fp = np.sum(batch_norm(xp) * r)
+        fp = np.sum(batch_norm_with_cache(xp)[0] * r)
         xp.flat[idx] -= 2 * h
-        fm = np.sum(batch_norm(xp) * r)
+        fm = np.sum(batch_norm_with_cache(xp)[0] * r)
         numeric = (fp - fm) / (2 * h)
         a = analytic.flat[idx]
         assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-8) <= 1e-6
@@ -388,3 +393,25 @@ def test_forward_deterministic():
     g1, x = _micro_graph(17)
     g2, _ = _micro_graph(17)
     assert np.array_equal(g1.forward(x), g2.forward(x))
+
+
+# Node 1 gets no edge (a zeros record); nodes 2 and 3 sum a pool, a skip and
+# both conv kernels.
+EVERY_OP = ArchEncoding((Operation.NONE, Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3,
+                         Operation.SKIP_CONNECT, Operation.NOR_CONV_1X1, Operation.NOR_CONV_3X3))
+
+
+@pytest.mark.parametrize("skeleton", [SkeletonConfig(), SkeletonConfig(num_stages=2,
+                                                                       cells_per_stage=2)],
+                         ids=["default", "2-stage-2-cell"])
+def test_every_feature_map_is_contiguous_channel_major(skeleton):
+    net = build_network(EVERY_OP, skeleton, np.random.default_rng(18))
+    n = 5
+    x = np.random.default_rng(19).normal(size=(n,) + skeleton.input_shape)
+    assert net.graph.forward(x).shape == (n, skeleton.num_classes)
+    maps = [rec.out for rec in net.graph.records if rec.out.ndim == 4]
+    assert {rec.kind for rec in net.graph.records if rec.out.ndim == 4} == {
+        "input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
+    for out in maps:
+        assert out.flags.c_contiguous and out.shape[1] == n
+    assert net.graph.backward_to_input().shape == x.shape

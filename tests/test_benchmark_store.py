@@ -117,15 +117,23 @@ def test_accuracy_out_of_range_rejected(tmp_path):
         load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
 
 
-@pytest.mark.parametrize("field", ["val_acc", "test_acc", "train_seconds"])
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "true", '"12"'])
-def test_number_fields_must_be_finite_json_numbers(tmp_path, field, token):
-    line = EXAMPLE_LINE.replace(f'"{field}": {json.loads(EXAMPLE_LINE)[field]}',
-                                f'"{field}": {token}')
+# (field, JSON token, what the field must be); the number fields also refuse
+# the non-finite floats json.loads accepts.
+BAD_FIELD_VALUES = [(field, token, "a finite number")
+                    for token in ["NaN", "Infinity", "-Infinity", "true", '"12"']
+                    for field in ["test_acc", "train_seconds", "val_acc"]] + [
+                    ("dataset", token, "a string") for token in ["null", "5", '["x"]']]
+
+
+@pytest.mark.parametrize("field,token,kind", BAD_FIELD_VALUES,
+                         ids=[f"{token}-{field}" for field, token, _ in BAD_FIELD_VALUES])
+def test_number_fields_must_be_finite_json_numbers(tmp_path, field, token, kind):
+    good = json.dumps(json.loads(EXAMPLE_LINE)[field])
+    line = EXAMPLE_LINE.replace(f'"{field}": {good}', f'"{field}": {token}')
     assert token in line
     with pytest.raises(JsonlFormatError) as excinfo:
         load_jsonl(write_lines(tmp_path, [line]))
-    assert str(excinfo.value) == f"line 1: {field} must be a finite number, got {token}"
+    assert str(excinfo.value) == f"line 1: {field} must be {kind}, got {token}"
 
 
 def test_integer_beyond_float_range_rejected(tmp_path):

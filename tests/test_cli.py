@@ -286,10 +286,12 @@ def test_seed_range_flags():
                                   'mode = "mock"\nrho = "hi"\n', "C = 3\nP = 5\n",
                                   "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
                                   "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
-                                  'mode = "proxy"\nbatch_size = 5\n'],
+                                  'mode = "proxy"\nbatch_size = 5\n', "seeds = 0,0\n",
+                                  "seeds = 0,-1\n", "seed_base = -3\n"],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
                               "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
-                              "rho-above-one", "batch-of-one", "batch-below-K"])
+                              "rho-above-one", "batch-of-one", "batch-below-K",
+                              "seed-repeated", "seed-negative", "seed-base-negative"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
