@@ -10,7 +10,8 @@ test_acc, train_seconds)``:
     [0, 100], with the global optimum known by enumeration;
   - NoisyProxySource: a proxy whose rank agreement with a landscape is
     calibrated to a target Spearman correlation, for guidance-quality
-    experiments.
+    experiments; its ranks and normal quantiles come from numpy and the
+    standard library's NormalDist.
 
 Validation accuracy is the search fitness; test accuracy rides along for
 reporting only and must never influence selection.
@@ -18,11 +19,11 @@ reporting only and must never influence selection.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -173,6 +174,9 @@ class SyntheticLandscape:
     """
 
     def __init__(self, seed: int, interaction_scale: float = INTERACTION_SCALE_DEFAULT):
+        if not 0 <= interaction_scale < math.inf:
+            raise ValueError(f"interaction_scale must be finite and non-negative, "
+                             f"got {interaction_scale}")
         self.seed = seed
         self.interaction_scale = interaction_scale
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830201)))
@@ -189,22 +193,6 @@ class SyntheticLandscape:
         self.optimum_index = int(self.fitness.argmax())
         self.optimum_fitness = float(self.fitness[self.optimum_index])
 
-    # The two rankings below are computed on first use, by NoisyProxySource:
-    # scipy.stats is most of the package import time and no other path needs it.
-    @functools.cached_property
-    def ranks(self) -> np.ndarray:
-        """Average ranks of fitness, 1 for the lowest."""
-        from scipy import stats
-
-        return stats.rankdata(self.fitness)
-
-    @functools.cached_property
-    def normal_scores(self) -> np.ndarray:
-        """Normal quantiles of the ranks, ppf(rank / (SPACE_SIZE + 1))."""
-        from scipy import stats
-
-        return stats.norm.ppf(self.ranks / (SPACE_SIZE + 1))
-
     def fitness_of(self, arch) -> float:
         return float(self.fitness[_arch_key(arch)])
 
@@ -216,6 +204,19 @@ class SyntheticLandscape:
 # ---------------------------------------------------------------------------
 # Correlation-controlled proxies
 # ---------------------------------------------------------------------------
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of values in ascending order; tied values share the mean
+    of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]  # starts a run of ties
+    bounds = np.r_[np.flatnonzero(first), values.size]
+    run = np.cumsum(first) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
 
 
 class OracleProxySource:
@@ -236,7 +237,8 @@ class NoisyProxySource:
     Scores are a * normal-score(fitness rank) + sqrt(1 - a^2) * seeded
     Gaussian noise, with the mixing weight a bisected until the empirical
     Spearman over the full space lands within 0.005 of the target (well
-    inside the guaranteed 0.05 band). rho = 1 and rho = 0 shortcut to the
+    inside the guaranteed 0.05 band). A normal score is the standard normal
+    quantile of rank / (SPACE_SIZE + 1). rho = 1 and rho = 0 shortcut to the
     pure-signal and pure-noise mixtures.
     """
 
@@ -246,10 +248,10 @@ class NoisyProxySource:
     def __init__(self, landscape: SyntheticLandscape, rho: float, seed: int):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        from scipy import stats
-
         self.rho = rho
-        ranks, signal = landscape.ranks, landscape.normal_scores
+        ranks = _average_ranks(landscape.fitness)
+        quantile = NormalDist().inv_cdf
+        signal = np.array([quantile(q) for q in (ranks / (SPACE_SIZE + 1)).tolist()])
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830202)))
         noise = rng.normal(0.0, 1.0, size=SPACE_SIZE)
 
@@ -257,9 +259,8 @@ class NoisyProxySource:
             return a * signal + np.sqrt(max(1.0 - a * a, 0.0)) * noise
 
         def spearman(a: float) -> float:
-            # Pearson of the ranks against the landscape's cached ranks: the
-            # same float as stats.spearmanr(mix(a), landscape.fitness)
-            return float(np.corrcoef(stats.rankdata(mix(a)), ranks)[0, 1])
+            # Pearson of the two rankings, which is Spearman's rho
+            return float(np.corrcoef(_average_ranks(mix(a)), ranks)[0, 1])
 
         if rho >= 1.0:
             a = 1.0

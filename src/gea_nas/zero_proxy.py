@@ -45,6 +45,8 @@ class Batch:
             raise ValueError(f"need {n} labels, got shape {self.labels.shape}")
         if n < 2:
             raise ValueError(f"batch size must be >= 2, got {n}")
+        if not np.isfinite(self.images).all():
+            raise ValueError("images must all be finite")
         if self.num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
@@ -71,8 +73,8 @@ class ProxyConfig:
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 0 < self.t < float("inf"):
+            raise ValueError(f"t must be positive and finite, got {self.t}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.batch_size < 2:

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import chisquare, mannwhitneyu
 
 from gea_nas.arch_space import mutate, random_arch
-from gea_nas.autodiff_core import grad_check
+from grad_helpers import grad_check
 from gea_nas.benchmark_store import (
     NoisyProxySource,
     OracleProxySource,

@@ -14,10 +14,11 @@ from gea_nas.autodiff_core import (
     batch_norm_with_cache,
     conv2d,
     conv2d_input_grad,
-    grad_check,
     relu_input_grad,
 )
 from gea_nas.network_builder import SkeletonConfig, build_network
+
+from grad_helpers import grad_check
 
 
 # Naive reference kernels, written independently of the patch-matrix path.

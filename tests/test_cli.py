@@ -287,11 +287,16 @@ def test_seed_range_flags():
                                   "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
                                   "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
                                   'mode = "proxy"\nbatch_size = 5\n', "seeds = 0,0\n",
-                                  "seeds = 0,-1\n", "seed_base = -3\n"],
+                                  "seeds = 0,-1\n", "seed_base = -3\n",
+                                  'mode = "proxy"\nt = NaN\n', 'mode = "proxy"\nt = Infinity\n',
+                                  "interaction_scale = Infinity\n", "interaction_scale = NaN\n",
+                                  "interaction_scale = -1\n"],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
                               "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
-                              "seed-repeated", "seed-negative", "seed-base-negative"])
+                              "seed-repeated", "seed-negative", "seed-base-negative",
+                              "t-nan", "t-inf", "interaction-scale-inf",
+                              "interaction-scale-nan", "interaction-scale-negative"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -413,6 +418,23 @@ def test_proxy_mode_with_batch_file(tmp_path, capsys, file_k, num_classes, expec
     assert (out / "gea_seed0.json").exists() == (expected == 0)
     if expected:
         assert "classes" in capsys.readouterr().err
+
+
+def test_batch_file_with_a_nan_pixel_is_an_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    batch_file = tmp_path / "batch.bin"
+    write_batch_file(batch_file, Batch(images=rng.normal(size=(12, 3, 8, 8)),
+                                       labels=np.arange(12) % 10, num_classes=10))
+    data = bytearray(batch_file.read_bytes())
+    data[20 + 4 * 77:20 + 4 * 78] = np.float32(np.nan).tobytes()  # after the 5-int32 header
+    batch_file.write_bytes(bytes(data))
+    out = tmp_path / "out"
+    code = main(["search", "--mode", "proxy", "--C", "4", "--P", "2",
+                 "--batch-file", str(batch_file), "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    assert any(line.startswith("error:") and "finite" in line
+               for line in capsys.readouterr().err.splitlines())
+    assert not out.exists()
 
 
 def test_seeds_sharing_a_file_batch_score_a_cell_differently(tmp_path):

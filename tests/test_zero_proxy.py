@@ -23,6 +23,8 @@ from gea_nas.zero_proxy import (
     write_batch_file,
 )
 
+from grad_helpers import relu_preacts
+
 ALL_NONE = ArchEncoding((Operation.NONE,) * 6)
 
 
@@ -46,6 +48,11 @@ def test_batch_validation():
         Batch(images=imgs[:1], labels=np.zeros(1, dtype=int), num_classes=2)
     with pytest.raises(ValueError, match="N,C,H,W"):
         Batch(images=imgs[0], labels=np.zeros(4, dtype=int), num_classes=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = imgs.copy()
+        corrupt[2, 1, 3, 4] = bad
+        with pytest.raises(ValueError, match="must all be finite"):
+            Batch(images=corrupt, labels=np.array([0, 0, 1, 1]), num_classes=2)
 
 
 def test_make_batch_stratified_sizes():
@@ -69,6 +76,9 @@ def test_make_batch_needs_n_ge_k():
 def test_proxy_config_validation():
     with pytest.raises(ValueError):
         ProxyConfig(t=0.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            ProxyConfig(t=t)
     with pytest.raises(ValueError):
         ProxyConfig(tau=0)
     with pytest.raises(ValueError, match="batch_size"):
@@ -159,10 +169,10 @@ def test_jacobian_rows_match_finite_differences():
         xp = x.copy()
         xp.flat[idx] += h
         fp = graph.forward(xp).sum()
-        signs_p = [np.sign(p) for p in graph.relu_preacts()]
+        signs_p = [np.sign(p) for p in relu_preacts(graph)]
         xp.flat[idx] -= 2 * h
         fm = graph.forward(xp).sum()
-        signs_m = [np.sign(p) for p in graph.relu_preacts()]
+        signs_m = [np.sign(p) for p in relu_preacts(graph)]
         if any((a != b).any() for a, b in zip(signs_p, signs_m)):
             continue  # secant straddles a ReLU kink
         numeric = (fp - fm) / (2 * h)
