@@ -35,9 +35,9 @@ GOLDEN = {
         "dd3865efab1975d85bad7eae6ac78d8aa55404aa9d422b08438371601b78fb18",
     ),
     "gea_mock": (
-        "9f85379f31565175b717154e825a711d6ff27f4bc6101ff6af5cad158f3e1046",
-        "247c22abb11b469d032bf1945019db81b4656026013fb3b92a4a058519fea735",
-        "5889b3405f942ed10032e233df295a3bff913a025ccfb212e08fc9ed910e8065",
+        "aaa79a641819ce896bbfd89b347c3b1eb4fb2029b74c45e520f985178d9c1839",
+        "9d20d7184101ca1eadf97bcce1da2644adb9d8ddaf0bbf04680a544ec37f8276",
+        "ccaa00689684cc33aae61b9c71565ceabb6b41470700912bb8f9aa81c5ed7e4a",
     ),
     "rea": (
         "9bf9db0cecf4610343a91d203a690327101d5c8e2d99b78b01322bcd86415872",
