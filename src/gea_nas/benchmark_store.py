@@ -111,6 +111,15 @@ class TabularStore:
         return rec.val_acc, rec.test_acc, rec.train_seconds
 
 
+def finite_number(name: str, value) -> float:
+    """A JSON number field as a float. json.loads also yields NaN and
+    Infinity, and float() would take a bool or a numeric string, so only a
+    finite int or float passes."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_jsonl(path: str | Path) -> TabularStore:
     """Parse a JSONL export: one object per line with exactly the fields
     arch, dataset, val_acc, test_acc, train_seconds. Any violation raises
@@ -129,15 +138,8 @@ def load_jsonl(path: str | Path) -> TabularStore:
                 raise JsonlFormatError(
                     f"line {lineno}: expected exactly fields {list(_RECORD_FIELDS)}")
             try:
-                # json.loads also yields NaN and Infinity, and float() would
-                # take a bool or a numeric string
-                for name in _NUMBER_FIELDS:
-                    value = obj[name]
-                    if type(value) not in (int, float) or not math.isfinite(value):
-                        raise ValueError(
-                            f"{name} must be a finite number, got {json.dumps(value)}")
-                rec = BenchRecord(obj["arch"], obj["dataset"], float(obj["val_acc"]),
-                                  float(obj["test_acc"]), float(obj["train_seconds"]))
+                rec = BenchRecord(obj["arch"], obj["dataset"],
+                                  *(finite_number(name, obj[name]) for name in _NUMBER_FIELDS))
             except (CellParseError, ValueError, TypeError, OverflowError) as exc:
                 raise JsonlFormatError(f"line {lineno}: {exc}") from None
             key = (rec.index, rec.dataset)
@@ -163,6 +165,16 @@ def dump_jsonl(store: TabularStore, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_landscape(seed: int, interaction_scale: float) -> None:
+    """Refuse a landscape seed or interaction scale out of range, naming the
+    knob; the run config checks them too, whatever its fitness source."""
+    if seed < 0:
+        raise ValueError(f"landscape_seed must be a non-negative integer, got {seed}")
+    if not 0 <= interaction_scale < math.inf:
+        raise ValueError(f"interaction_scale must be finite and non-negative, "
+                         f"got {interaction_scale}")
+
+
 class SyntheticLandscape:
     """Seeded fitness over all 15625 cells.
 
@@ -174,9 +186,7 @@ class SyntheticLandscape:
     """
 
     def __init__(self, seed: int, interaction_scale: float = INTERACTION_SCALE_DEFAULT):
-        if not 0 <= interaction_scale < math.inf:
-            raise ValueError(f"interaction_scale must be finite and non-negative, "
-                             f"got {interaction_scale}")
+        check_landscape(seed, interaction_scale)
         self.seed = seed
         self.interaction_scale = interaction_scale
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830201)))

@@ -40,6 +40,8 @@ from .benchmark_store import (
     NoisyProxySource,
     OracleProxySource,
     SyntheticLandscape,
+    check_landscape,
+    finite_number,
     load_jsonl,
 )
 from .guided_evolution import (
@@ -51,7 +53,6 @@ from .guided_evolution import (
 )
 from .network_builder import SkeletonConfig
 from .zero_proxy import (
-    Batch,
     BatchFileError,
     JacobianProxySource,
     ProxyConfig,
@@ -108,6 +109,7 @@ class RunConfig:
         if self.mode == "mock" and self.fitness != "synthetic":
             raise CliError("mode=mock calibrates against a synthetic landscape; "
                            "use fitness=synthetic")
+        check_landscape(self.landscape_seed, self.interaction_scale)
         if not self.seeds:
             raise CliError("need at least one seed")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
@@ -236,35 +238,33 @@ def _fitness_source(config: RunConfig):
     return store, config.dataset
 
 
-def _file_batch(config: RunConfig) -> Batch | None:
-    """The --batch-file batch of a proxy-mode run, read and checked once per
-    command; None when the proxy draws a synthetic batch per seed instead."""
-    if config.mode != "proxy" or not config.batch_file:
-        return None
-    batch = read_batch_file(config.batch_file)
-    if batch.num_classes != config.proxy.skeleton.num_classes:
-        raise CliError(f"{config.batch_file} has {batch.num_classes} classes but "
-                       f"num_classes is {config.proxy.skeleton.num_classes}")
-    return batch
-
-
-def _proxy_source(config: RunConfig, fitness, dataset: str, seed: int,
-                  batch: Batch | None):
-    if config.mode == "oracle":
-        return OracleProxySource(fitness, dataset)
-    if config.mode == "mock":
-        return NoisyProxySource(fitness, config.rho, seed)
-    if batch is None:
-        batch_rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-        batch = make_batch(config.proxy, batch_rng)
-    return JacobianProxySource(batch, config.proxy, seed)
+def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
+    """Each seed's proxy source, built once per command and handed to every
+    gea run of that seed, so a Jacobian source's memo spans all of them. A
+    --batch-file is read and checked once; without one, each seed draws its
+    own synthetic batch."""
+    file_batch, sources = None, {}
+    if config.mode == "proxy" and config.batch_file:
+        file_batch = read_batch_file(config.batch_file)
+        if file_batch.num_classes != config.proxy.skeleton.num_classes:
+            raise CliError(f"{config.batch_file} has {file_batch.num_classes} classes but "
+                           f"num_classes is {config.proxy.skeleton.num_classes}")
+    for seed in config.seeds:
+        if config.mode == "oracle":
+            sources[seed] = OracleProxySource(fitness, dataset)
+        elif config.mode == "mock":
+            sources[seed] = NoisyProxySource(fitness, config.rho, seed)
+        else:
+            batch = file_batch or make_batch(
+                config.proxy, np.random.default_rng(np.random.SeedSequence((seed, 3))))
+            sources[seed] = JacobianProxySource(batch, config.proxy, seed)
+    return sources
 
 
 def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
-             method: str, C: int, batch: Batch | None) -> SearchResult:
+             method: str, C: int, proxy) -> SearchResult:
     evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
     if method == "gea":
-        proxy = _proxy_source(config, fitness, dataset, seed, batch)
         return run_search(evo, proxy, fitness)
     if method == "rea":
         return run_rea_baseline(evo, fitness)
@@ -283,7 +283,11 @@ def mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-def aggregate_report(method: str, dataset: str, results: list[SearchResult]) -> dict:
+def aggregate_report(method: str, dataset: str, results: list[SearchResult],
+                     proxies: dict) -> dict:
+    # a seed's proxy_computed: the Jacobian scores its source computed
+    computed = {seed: len(p.scores) for seed, p in proxies.items()
+                if isinstance(p, JacobianProxySource)}
     val_mean, val_std = mean_std([r.best.fitness for r in results])
     test_mean, test_std = mean_std([r.best.test_acc for r in results])
     train_mean, _ = mean_std([r.train_seconds_total for r in results])
@@ -296,7 +300,7 @@ def aggregate_report(method: str, dataset: str, results: list[SearchResult]) -> 
                       "test_acc": r.best.test_acc, "arch": str(r.best.arch),
                       "fitness_evals": r.num_fitness_evals,
                       "proxy_evals": r.num_proxy_evals,
-                      "proxy_computed": r.num_proxy_computed} for r in results],
+                      "proxy_computed": computed.get(r.config.seed, 0)} for r in results],
         "val_acc": {"mean": val_mean, "std": val_std},
         "test_acc": {"mean": test_mean, "std": test_std},
         "train_seconds_total": {"mean": train_mean},
@@ -323,15 +327,15 @@ def cmd_search(config: RunConfig) -> int:
         raise CliError("search requires --out DIR for result files")
     out_dir = Path(config.out)
     fitness, dataset = _fitness_source(config)
-    batch = _file_batch(config) if config.method == "gea" else None
+    proxies = _proxy_sources(config, fitness, dataset) if config.method == "gea" else {}
     results = []
     for seed in config.seeds:
         result = _run_one(config, fitness, dataset, seed, config.method,
-                          config.evolution.C, batch)
+                          config.evolution.C, proxies.get(seed))
         results.append(result)
         _write_json(out_dir / f"{config.method}_seed{seed}.json", result.to_json_dict())
     _write_json(out_dir / f"{config.method}_report.json",
-                aggregate_report(config.method, dataset, results))
+                aggregate_report(config.method, dataset, results, proxies))
     print(f"wrote {len(results)} result files and {config.method}_report.json to {out_dir}")
     return 0
 
@@ -342,12 +346,12 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
     fitness, dataset = _fitness_source(config)
-    batch = _file_batch(config)
+    proxies = _proxy_sources(config, fitness, dataset)
     rows = []
     for c in c_values:
         for seed in config.seeds:
             for method in ("gea", "rea"):
-                r = _run_one(config, fitness, dataset, seed, method, c, batch)
+                r = _run_one(config, fitness, dataset, seed, method, c, proxies[seed])
                 rows.append([method, c, seed, r.best.fitness, r.best.test_acc,
                              r.train_seconds_total, r.proxy_wall_seconds])
     out_path = Path(config.out)
@@ -370,10 +374,12 @@ def _load_result_file(path: str) -> dict | None:
         if isinstance(doc, dict) and "per_seed" in doc:
             return None
         return {"method": doc["method"], "dataset": doc["config"]["dataset"],
-                "val_acc": float(doc["best"]["val_acc"]),
-                "test_acc": float(doc["best"]["test_acc"]),
-                "train_seconds": float(doc["train_seconds_total"])}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                "val_acc": finite_number("val_acc", doc["best"]["val_acc"]),
+                "test_acc": finite_number("test_acc", doc["best"]["test_acc"]),
+                "train_seconds": finite_number("train_seconds_total",
+                                               doc["train_seconds_total"])}
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise CliError(f"{path}: not a SearchResult JSON file ({exc})") from None
 
 

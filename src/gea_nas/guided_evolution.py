@@ -19,8 +19,8 @@ config seed; given the same config, proxy, and fitness source, two runs
 produce identical histories and logs. Candidate and per-child generators,
 derived from (seed, candidate index) and (seed, cycle, child index), drive
 only sampling and mutation. The proxy takes no generator: a score is a
-function of the cell, so each run computes a cell's score once and serves
-every later request for that cell from a cache keyed by its index.
+function of the cell, and whether a source caches it is the source's affair;
+the loop counts and times every request.
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """
@@ -38,8 +38,7 @@ from .zero_proxy import ProxyScore
 
 
 class ProxySource(Protocol):
-    """Scores a cell; the same cell must always get the same score, because
-    the loop asks the source once per cell and run."""
+    """Scores a cell; the same cell must always get the same score."""
 
     def score(self, arch: ArchEncoding) -> ProxyScore: ...
 
@@ -89,7 +88,6 @@ class ChildLog:
 class CycleLog:
     cycle: int
     parent_birth: int
-    parent_arch: ArchEncoding
     children: tuple[ChildLog, ...]
     admitted_index: int
     population_births: tuple[int, ...]  # population content after the cycle
@@ -101,8 +99,7 @@ class SearchResult:
     config: EvolutionConfig
     history: list[EvaluatedModel]
     cycle_log: list[CycleLog]
-    num_proxy_evals: int  # scores requested, cache hits included
-    num_proxy_computed: int  # distinct cells scored by the proxy source
+    num_proxy_evals: int  # scores requested of the proxy source
     proxy_wall_seconds: float
 
     @property
@@ -145,7 +142,7 @@ class SearchResult:
             "cycles": [{
                 "cycle": c.cycle,
                 "parent_birth": c.parent_birth,
-                "parent_arch": str(c.parent_arch),
+                "parent_arch": str(self.history[c.parent_birth].arch),
                 "children": [{"arch": str(ch.arch), "z": z_of(ch.proxy),
                               "valid": None if ch.proxy is None else ch.proxy.valid}
                              for ch in c.children],
@@ -191,20 +188,16 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     """
     proxy_wall = 0.0
     num_proxy = 0
-    memo: dict[int, ProxyScore] = {}
 
     def scored(arch: ArchEncoding) -> Optional[ProxyScore]:
-        """The cell's score, computed (and timed) on its first request only."""
+        """The cell's score, its request counted and timed."""
         nonlocal proxy_wall, num_proxy
         if proxy is None:
             return None
         num_proxy += 1
-        key = arch.index
-        s = memo.get(key)
-        if s is None:
-            tic = time.perf_counter()
-            s = memo[key] = proxy.score(arch)
-            proxy_wall += time.perf_counter() - tic
+        tic = time.perf_counter()
+        s = proxy.score(arch)
+        proxy_wall += time.perf_counter() - tic
         return s
 
     history: list[EvaluatedModel] = []
@@ -240,13 +233,13 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy.z)
         admit(logs[best].arch, logs[best].proxy)
         cycle_log.append(CycleLog(
-            cycle=cycle, parent_birth=parent.birth, parent_arch=parent.arch,
-            children=tuple(logs), admitted_index=best,
+            cycle=cycle, parent_birth=parent.birth, children=tuple(logs),
+            admitted_index=best,
             population_births=tuple(m.birth for m in history[-keep:])))
 
     return SearchResult(method=method, config=config, history=history,
                         cycle_log=cycle_log, num_proxy_evals=num_proxy,
-                        num_proxy_computed=len(memo), proxy_wall_seconds=proxy_wall)
+                        proxy_wall_seconds=proxy_wall)
 
 
 def run_search(config: EvolutionConfig, proxy: ProxySource,

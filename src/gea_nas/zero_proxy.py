@@ -186,19 +186,24 @@ class JacobianProxySource:
 
     Each cell is scored at one weight initialization, drawn from
     SeedSequence((seed, 4, cell index)). A score is then a function of
-    (batch, config, seed, cell) alone: the same cell scores the same whenever
-    and however often it is asked for, so the loop may cache it. The seed is
-    part of the key because runs of different seeds can share one file batch.
+    (batch, config, seed, cell) alone, so ``scores`` keeps each cell's score
+    by index and every later request of that cell, from any run handed this
+    source, is a lookup. The seed is part of the init because runs of
+    different seeds can share one file batch.
     """
 
     def __init__(self, batch: Batch, config: ProxyConfig | None = None, seed: int = 0):
         self.batch = batch
         self.config = config if config is not None else ProxyConfig()
         self.seed = seed
+        self.scores: dict[int, ProxyScore] = {}
 
     def score(self, arch: ArchEncoding) -> ProxyScore:
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 4, arch.index)))
-        return score_architecture(arch, self.batch, self.config, rng)
+        s = self.scores.get(arch.index)
+        if s is None:
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 4, arch.index)))
+            s = self.scores[arch.index] = score_architecture(arch, self.batch, self.config, rng)
+        return s
 
 
 # ---------------------------------------------------------------------------

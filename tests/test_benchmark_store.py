@@ -222,6 +222,11 @@ def test_landscape_rejects_bad_interaction_scale(scale):
         SyntheticLandscape(0, interaction_scale=scale)
 
 
+def test_landscape_rejects_negative_seed():
+    with pytest.raises(ValueError, match="landscape_seed must be a non-negative integer"):
+        SyntheticLandscape(-1)
+
+
 def test_landscape_evaluate_interface():
     land = SyntheticLandscape(6)
     arch = ArchEncoding.from_index(777)

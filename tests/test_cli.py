@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gea_nas
-from gea_nas import experiment_cli
+from gea_nas import experiment_cli, zero_proxy
 from gea_nas.arch_space import encode_str, enumerate_all, parse_str
 from gea_nas.benchmark_store import (
     BenchRecord,
@@ -125,6 +125,47 @@ def test_sweep_rerun_identical_outside_proxy_wall(tmp_path):
         assert (float(wall_b) > 0.0) == (row_b["method"] == "gea")
 
 
+# A 3x3 single-channel network, so a sweep computes real Jacobian scores fast.
+TINY_SWEEP = ["sweep", "--c-values", "8,12,16", "--P", "3", "--seeds", "0,1",
+              "--in-channels", "1", "--image-hw", "3", "--stem-channels", "2",
+              "--num-classes", "2", "--batch-size", "6"]
+
+
+def test_sweep_computes_each_seed_cell_once(tmp_path, monkeypatch):
+    requests, computed = [], []
+    score, score_architecture = zero_proxy.JacobianProxySource.score, zero_proxy.score_architecture
+
+    def recording_score(self, arch):
+        requests.append((self.seed, arch.index))
+        return score(self, arch)
+
+    def counting_score_architecture(arch, *args):
+        computed.append(arch.index)
+        return score_architecture(arch, *args)
+
+    monkeypatch.setattr(zero_proxy.JacobianProxySource, "score", recording_score)
+    monkeypatch.setattr(zero_proxy, "score_architecture", counting_score_architecture)
+    assert main(TINY_SWEEP + ["--mode", "proxy", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(requests) > len(set(requests))  # the budgets share cells
+    assert len(computed) == len(set(requests))
+
+
+@pytest.mark.parametrize("mode,source", [("proxy", "JacobianProxySource"),
+                                         ("mock", "NoisyProxySource")])
+def test_sweep_builds_each_seed_source_once(tmp_path, monkeypatch, mode, source):
+    built = []
+
+    class CountingSource(getattr(experiment_cli, source)):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(args[-1])  # the run seed
+
+    monkeypatch.setattr(experiment_cli, source, CountingSource)
+    assert main(TINY_SWEEP + ["--mode", mode, "--rho", "0.9",
+                              "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == [0, 1]
+
+
 def test_sweep_rejects_single_c(tmp_path, capsys):
     code = main(["sweep", "--c-values", "10", "--out", str(tmp_path / "s.csv")])
     assert code == 2
@@ -203,6 +244,22 @@ def test_report_rejects_non_result_file(tmp_path, capsys):
     p.write_text(json.dumps({"foo": 1}))
     assert main(["report", str(p)]) == 2
     assert "junk.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "12", True],
+                         ids=["nan", "inf", "string", "bool"])
+@pytest.mark.parametrize("field", ["val_acc", "test_acc", "train_seconds_total"])
+def test_report_rejects_a_non_finite_or_non_numeric_field(tmp_path, capsys, field, value):
+    doc = result_doc("rea", "cifar10", 90.0, 90.0, 100.0)
+    if field == "train_seconds_total":
+        doc[field] = value
+    else:
+        doc["best"][field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+    assert main(["report", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and f"{field} must be a finite number" in err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -488,6 +545,29 @@ def test_bench_fitness_end_to_end(bench_path, tmp_path):
     land = SyntheticLandscape(0)
     for m in doc["history"]:
         assert m["val_acc"] == pytest.approx(land.fitness_of(parse_str(m["arch"])))
+
+
+@pytest.mark.parametrize("knob", [["--interaction-scale", "nan"], ["--interaction-scale", "inf"],
+                                  ["--interaction-scale", "-1"], ["--landscape-seed", "-5"]],
+                         ids=["scale-nan", "scale-inf", "scale-negative", "seed-negative"])
+def test_landscape_knobs_checked_with_bench_fitness(bench_path, tmp_path, capsys, knob):
+    out = tmp_path / "o"
+    code = main(["search", "--method", "rea", "--fitness", "bench", "--bench", bench_path,
+                 "--dataset", "cifar10", "--C", "5", *knob, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") and knob[0][2:].replace("-", "_") in line
+               for line in err)
+    assert not out.exists()
+
+
+def test_negative_landscape_seed_is_named(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["search", "--method", "rea", "--C", "5", "--landscape-seed", "-5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: landscape_seed must be a non-negative integer, got -5")
+    assert not out.exists()
 
 
 def test_bench_requires_dataset_present(bench_path, tmp_path, capsys):
