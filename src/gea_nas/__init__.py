@@ -43,12 +43,7 @@ from .guided_evolution import (
     run_search,
     tournament_select,
 )
-from .network_builder import (
-    MicroNetwork,
-    SkeletonConfig,
-    build_network,
-    jacobian_input_dim,
-)
+from .network_builder import SkeletonConfig, build_network
 from .zero_proxy import (
     Batch,
     BatchFileError,

@@ -164,12 +164,12 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(2, 3))
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flatten x, sample axis at 1, to (N, F) and apply xW + b; W is (F, K)."""
+def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Flatten x, sample axis at 1, to (N, F) and apply xW; W is (F, K), no bias."""
     flat = np.moveaxis(x, 1, 0).reshape(x.shape[1], -1)
     if flat.shape[1] != w.shape[0]:
         raise ShapeError(f"linear expects {w.shape[0]} features, got {flat.shape[1]}")
-    return flat @ w + b
+    return flat @ w
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,6 @@ class Record:
     kind: str
     inputs: tuple[int, ...]
     weight: Optional[np.ndarray] = None
-    bias: Optional[np.ndarray] = None
     out: Optional[np.ndarray] = field(default=None, repr=False)
     cache: object = field(default=None, repr=False)
 
@@ -204,15 +203,14 @@ class CompGraph:
         self.records: list[Record] = [Record("input", ())]
         self._forward_done = False
 
-    def add(self, kind: str, *inputs: int, weight: np.ndarray | None = None,
-            bias: np.ndarray | None = None) -> int:
+    def add(self, kind: str, *inputs: int, weight: np.ndarray | None = None) -> int:
         """Append a record; operands must already exist (keeps the graph acyclic)."""
         if kind not in _KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         for i in inputs:
             if not 0 <= i < len(self.records):
                 raise ValueError(f"operand id {i} out of range")
-        self.records.append(Record(kind, inputs, weight, bias))
+        self.records.append(Record(kind, inputs, weight))
         return len(self.records) - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -243,7 +241,7 @@ class CompGraph:
             elif rec.kind == "gap":
                 rec.out = global_avg_pool(srcs[0])
             elif rec.kind == "linear":
-                rec.out = linear(srcs[0], rec.weight, rec.bias)
+                rec.out = linear(srcs[0], rec.weight)
         self._forward_done = True
         return recs[-1].out
 

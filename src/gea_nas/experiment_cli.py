@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import io
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -36,7 +35,6 @@ import numpy as np
 
 from .benchmark_store import (
     INTERACTION_SCALE_DEFAULT,
-    JsonlFormatError,
     NoisyProxySource,
     OracleProxySource,
     SyntheticLandscape,
@@ -53,7 +51,6 @@ from .guided_evolution import (
 )
 from .network_builder import SkeletonConfig
 from .zero_proxy import (
-    BatchFileError,
     JacobianProxySource,
     ProxyConfig,
     make_batch,
@@ -241,14 +238,11 @@ def _fitness_source(config: RunConfig):
 def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     """Each seed's proxy source, built once per command and handed to every
     gea run of that seed, so a Jacobian source's memo spans all of them. A
-    --batch-file is read and checked once; without one, each seed draws its
-    own synthetic batch."""
+    --batch-file is read once (score_architecture checks that it fits the
+    skeleton); without one, each seed draws its own synthetic batch."""
     file_batch, sources = None, {}
     if config.mode == "proxy" and config.batch_file:
         file_batch = read_batch_file(config.batch_file)
-        if file_batch.num_classes != config.proxy.skeleton.num_classes:
-            raise CliError(f"{config.batch_file} has {file_batch.num_classes} classes but "
-                           f"num_classes is {config.proxy.skeleton.num_classes}")
     for seed in config.seeds:
         if config.mode == "oracle":
             sources[seed] = OracleProxySource(fitness, dataset)
@@ -309,6 +303,13 @@ def aggregate_report(method: str, dataset: str, results: list[SearchResult],
     }
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Rows through csv.writer's default dialect, so each row ends in CRLF."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """Compact JSON through json's C encoder (indent forces the pure-Python
     one); a non-finite float raises ValueError instead of writing NaN."""
@@ -355,12 +356,8 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
                 rows.append([method, c, seed, r.best.fitness, r.best.test_acc,
                              r.train_seconds_total, r.proxy_wall_seconds])
     out_path = Path(config.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "C", "seed", "val_acc", "test_acc",
-                         "train_seconds", "proxy_wall_seconds"])
-        writer.writerows(rows)
+    _write_csv(out_path, [["method", "C", "seed", "val_acc", "test_acc", "train_seconds",
+                           "proxy_wall_seconds"], *rows])
     print(f"wrote {len(rows)} sweep rows to {out_path}")
     return 0
 
@@ -373,7 +370,11 @@ def _load_result_file(path: str) -> dict | None:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if isinstance(doc, dict) and "per_seed" in doc:
             return None
-        return {"method": doc["method"], "dataset": doc["config"]["dataset"],
+        method, dataset = doc["method"], doc["config"]["dataset"]
+        for name, value in (("method", method), ("dataset", dataset)):
+            if not isinstance(value, str):  # both are sorted as table labels
+                raise ValueError(f"{name} must be a string, got {json.dumps(value)}")
+        return {"method": method, "dataset": dataset,
                 "val_acc": finite_number("val_acc", doc["best"]["val_acc"]),
                 "test_acc": finite_number("test_acc", doc["best"]["test_acc"]),
                 "train_seconds": finite_number("train_seconds_total",
@@ -416,11 +417,7 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
                          for row in table)
     print(rendered)
     if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in table:
-            writer.writerow(row)
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        _write_csv(Path(out), table)
         print(f"wrote report CSV to {out}")
     return 0
 
@@ -492,7 +489,7 @@ def main(argv=None) -> int:
         if args.command == "search":
             return cmd_search(config)
         return cmd_sweep(config, args.c_values)
-    except (CliError, JsonlFormatError, BatchFileError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
-"""Realize a cell encoding as a concrete scoring network.
+"""Realize a cell encoding as a concrete scoring network, a CompGraph.
 
 Layout: stem (3x3 conv then BN) -> stacked copies of the encoded cell ->
-head (BN, ReLU, global average pool, linear classifier). All cells share
+head (BN, ReLU, global average pool, bias-free linear classifier; a zero
+bias would not move the Jacobian). All cells share
 one architecture and one channel width; there are no reduction blocks and
 no training, the network exists only to be differentiated at init.
 
@@ -52,33 +53,15 @@ class SkeletonConfig:
         return (self.in_channels, self.image_hw, self.image_hw)
 
 
-def jacobian_input_dim(skeleton: SkeletonConfig) -> int:
-    """Flattened input size D: one Jacobian row has this many columns."""
-    c, h, w = skeleton.input_shape
-    return c * h * w
-
-
-@dataclass
-class MicroNetwork:
-    """A built network: the graph (whose records hold the weights) plus the
-    skeleton it was built from."""
-
-    graph: CompGraph
-    skeleton: SkeletonConfig
-
-    def param_count(self) -> int:
-        return sum(p.size for r in self.graph.records
-                   for p in (r.weight, r.bias) if p is not None)
-
-
 def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarray:
     fan_in = cin * k * k
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, k, k))
 
 
 def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
-                  rng: np.random.Generator | None = None) -> MicroNetwork:
-    """Construct the scoring network for ``arch``.
+                  rng: np.random.Generator | None = None) -> CompGraph:
+    """Construct the scoring network for ``arch`` as a graph whose records
+    hold the weights.
 
     Deterministic: weights are drawn from ``rng`` in a fixed order (stem,
     then cells in depth order with edges in index order, then head), and
@@ -126,6 +109,5 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
     cur = graph.add("bn", cur)
     cur = graph.add("relu", cur)
     cur = graph.add("gap", cur)
-    graph.add("linear", cur, weight=head_w, bias=np.zeros(skeleton.num_classes))
-
-    return MicroNetwork(graph=graph, skeleton=skeleton)
+    graph.add("linear", cur, weight=head_w)
+    return graph

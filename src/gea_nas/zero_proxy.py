@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .arch_space import ArchEncoding
-from .network_builder import MicroNetwork, SkeletonConfig, build_network, jacobian_input_dim
+from .autodiff_core import CompGraph
+from .network_builder import SkeletonConfig, build_network
 
 _HEADER = struct.Struct("<5i")  # N, C, H, W, K
 
@@ -101,7 +102,7 @@ INVALID_SCORE = ProxyScore(z=float("-inf"))
 # ---------------------------------------------------------------------------
 
 
-def compute_jacobian(net: MicroNetwork, batch: Batch) -> np.ndarray | None:
+def compute_jacobian(graph: CompGraph, batch: Batch) -> np.ndarray | None:
     """One forward and one backward with an all-ones logit seed.
 
     Seeding every logit with 1 makes the input gradient of sample i exactly
@@ -110,12 +111,8 @@ def compute_jacobian(net: MicroNetwork, batch: Batch) -> np.ndarray | None:
     gradient of sample i; None when the rows are degenerate (non-finite or
     all zero).
     """
-    expected = batch.images.shape[1:]
-    got = net.skeleton.input_shape
-    if expected != got:
-        raise ValueError(f"batch images {expected} do not match network input {got}")
-    net.graph.forward(batch.images)
-    rows = net.graph.backward_to_input().reshape(batch.size, -1)
+    graph.forward(batch.images)
+    rows = graph.backward_to_input().reshape(batch.size, -1)
     if not np.isfinite(rows).all() or not rows.any():
         return None
     return rows
@@ -162,10 +159,16 @@ def aggregate(e, num_classes: int, config: ProxyConfig) -> float:
 def score_architecture(arch: ArchEncoding, batch: Batch,
                        config: ProxyConfig | None = None,
                        rng: np.random.Generator | None = None) -> ProxyScore:
-    """Full scoring pipeline; never raises on degenerate architectures."""
+    """Full scoring pipeline; never raises on degenerate architectures, but
+    raises ValueError on a batch whose image shape or class count is not
+    ``config.skeleton``'s (the one check that a batch fits a network)."""
     config = config if config is not None else ProxyConfig()
-    net = build_network(arch, config.skeleton, rng)
-    rows = compute_jacobian(net, batch)
+    sk = config.skeleton
+    if batch.images.shape[1:] != sk.input_shape or batch.num_classes != sk.num_classes:
+        raise ValueError(f"batch of {batch.images.shape[1:]} images in {batch.num_classes} "
+                         f"classes does not fit the network's {sk.input_shape} input "
+                         f"and {sk.num_classes} classes")
+    rows = compute_jacobian(build_network(arch, sk, rng), batch)
     if rows is None:
         return INVALID_SCORE
     scores = []
@@ -220,7 +223,7 @@ def make_batch(config: ProxyConfig, rng: np.random.Generator | None = None) -> B
     if n < k:
         raise ValueError(f"stratified batch needs N >= K, got N={n} K={k}")
     c, h, w = config.skeleton.input_shape
-    d = jacobian_input_dim(config.skeleton)
+    d = c * h * w
     means = rng.normal(0.0, 1.0, size=(k, d))
     noise = rng.normal(0.0, 1.0, size=(n, d))
     labels = np.arange(n) % k

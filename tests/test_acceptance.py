@@ -78,8 +78,8 @@ def test_criterion_1_gradients_match_finite_differences():
                 continue
             count += 1
             net = build_network(arch, rng=rng)
-            x = rng.normal(size=(2,) + net.skeleton.input_shape)
-            err = grad_check(net.graph, x, step=1e-4, num_samples=25, rng=rng)
+            x = rng.normal(size=(2,) + SkeletonConfig().input_shape)
+            err = grad_check(net, x, step=1e-4, num_samples=25, rng=rng)
             worst = max(worst, err)
         assert worst <= 1e-3, f"worst relative error {worst:.3e}"
 

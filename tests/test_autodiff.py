@@ -250,7 +250,7 @@ def test_batch_norm_matches_two_pass_reference(shape):
 def _linear_graph(rng, d=12, k=3, n=2):
     g = CompGraph()
     w = rng.normal(size=(d, k))
-    g.add("linear", 0, weight=w, bias=np.zeros(k))
+    g.add("linear", 0, weight=w)
     return g, w, rng.normal(size=(n, 1, 1, d))
 
 
@@ -286,7 +286,7 @@ def test_forward_composition_matches_kernels():
     rid = g.add("conv", 0, weight=w_conv)
     rid = g.add("relu", rid)
     rid = g.add("gap", rid)
-    g.add("linear", rid, weight=w_lin, bias=np.zeros(5))
+    g.add("linear", rid, weight=w_lin)
     got = g.forward(x)
     manual = np.maximum(conv2d(channel_major(x), w_conv), 0.0).mean(axis=(2, 3)).T @ w_lin
     assert np.allclose(got, manual, atol=1e-12)
@@ -319,7 +319,7 @@ def test_zeros_record_blocks_gradient():
     g = CompGraph()
     z = g.add("zeros", 0)
     rid = g.add("gap", z)
-    g.add("linear", rid, weight=np.ones((2, 3)), bias=np.zeros(3))
+    g.add("linear", rid, weight=np.ones((2, 3)))
     x = np.random.default_rng(10).normal(size=(2, 2, 3, 3))
     assert np.array_equal(g.forward(x), np.zeros((2, 3)))
     assert np.array_equal(g.backward_to_input(), np.zeros_like(x))
@@ -331,7 +331,7 @@ def test_fanout_duplicate_operand_gradient():
     g = CompGraph()
     s = g.add("sum", 0, 0)
     rid = g.add("gap", s)
-    g.add("linear", rid, weight=np.ones((1, 1)), bias=np.zeros(1))
+    g.add("linear", rid, weight=np.ones((1, 1)))
     x = np.random.default_rng(11).normal(size=(1, 1, 2, 2))
     g.forward(x)
     grad = g.backward_to_input()
@@ -346,7 +346,7 @@ def _micro_graph(seed):
     rid = g.add("relu", rid)
     rid = g.add("avg_pool", rid)
     rid = g.add("gap", rid)
-    g.add("linear", rid, weight=rng.normal(size=(4, 3)), bias=np.zeros(3))
+    g.add("linear", rid, weight=rng.normal(size=(4, 3)))
     return g, rng.normal(size=(3, 2, 5, 5))
 
 
@@ -406,13 +406,13 @@ EVERY_OP = ArchEncoding((Operation.NONE, Operation.NOR_CONV_3X3, Operation.AVG_P
                                                                        cells_per_stage=2)],
                          ids=["default", "2-stage-2-cell"])
 def test_every_feature_map_is_contiguous_channel_major(skeleton):
-    net = build_network(EVERY_OP, skeleton, np.random.default_rng(18))
+    graph = build_network(EVERY_OP, skeleton, np.random.default_rng(18))
     n = 5
     x = np.random.default_rng(19).normal(size=(n,) + skeleton.input_shape)
-    assert net.graph.forward(x).shape == (n, skeleton.num_classes)
-    maps = [rec.out for rec in net.graph.records if rec.out.ndim == 4]
-    assert {rec.kind for rec in net.graph.records if rec.out.ndim == 4} == {
+    assert graph.forward(x).shape == (n, skeleton.num_classes)
+    maps = [rec.out for rec in graph.records if rec.out.ndim == 4]
+    assert {rec.kind for rec in graph.records if rec.out.ndim == 4} == {
         "input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
     for out in maps:
         assert out.flags.c_contiguous and out.shape[1] == n
-    assert net.graph.backward_to_input().shape == x.shape
+    assert graph.backward_to_input().shape == x.shape

@@ -347,3 +347,25 @@ def test_every_third_party_import_is_a_declared_dependency():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"gea_nas"}
     assert third_party <= declared, f"undeclared imports: {sorted(third_party - declared)}"
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of the package or of the tests imports is read in
+    that module; the package's __init__ imports only to re-export."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in (root / "src" / "gea_nas").glob("*.py") if p.name != "__init__.py"]
+    unused = []
+    for path in sorted(paths + list((root / "tests").glob("*.py"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"unused imports: {unused}"

@@ -100,6 +100,8 @@ def test_sweep_csv_layout(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["method", "C", "seed", "val_acc", "test_acc",
                        "train_seconds", "proxy_wall_seconds"]
+    data = out.read_bytes()  # csv.reader hides the line endings
+    assert data.count(b"\r\n") == data.count(b"\n") == 9 and data.endswith(b"\r\n")
     body = rows[1:]
     assert len(body) == 8  # 2 C values x 2 seeds x 2 methods
     assert sorted({r[0] for r in body}) == ["gea", "rea"]
@@ -206,6 +208,8 @@ def test_report_groups_mixed_datasets(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:4] == ["method", "cifar10 time", "cifar10 val", "cifar10 test"]
     assert len(rows) == 3
+    data = (tmp_path / "t.csv").read_bytes()  # csv.reader hides the line endings
+    assert data.count(b"\r\n") == data.count(b"\n") == 3 and data.endswith(b"\r\n")
 
 
 def test_report_identical_for_identical_runs(tmp_path, capsys):
@@ -246,20 +250,33 @@ def test_report_rejects_non_result_file(tmp_path, capsys):
     assert "junk.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "12", True],
-                         ids=["nan", "inf", "string", "bool"])
-@pytest.mark.parametrize("field", ["val_acc", "test_acc", "train_seconds_total"])
-def test_report_rejects_a_non_finite_or_non_numeric_field(tmp_path, capsys, field, value):
+BAD_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "string": "12", "bool": True}
+
+
+# A number field must be a finite JSON number; method and dataset label the
+# table, so they must be strings (a null beside a string broke the sort).
+@pytest.mark.parametrize("field,value,rule", [
+    *(pytest.param(field, value, "a finite number", id=f"{field}-{name}")
+      for field in ("val_acc", "test_acc", "train_seconds_total")
+      for name, value in BAD_NUMBERS.items()),
+    pytest.param("method", None, "a string", id="method-null"),
+    pytest.param("dataset", None, "a string", id="dataset-null"),
+])
+def test_report_rejects_a_non_finite_or_non_numeric_field(tmp_path, capsys, field, value, rule):
     doc = result_doc("rea", "cifar10", 90.0, 90.0, 100.0)
-    if field == "train_seconds_total":
+    if field in ("train_seconds_total", "method"):
         doc[field] = value
+    elif field == "dataset":
+        doc["config"][field] = value
     else:
         doc["best"][field] = value
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(result_doc("gea", "c", 90.0, 90.0, 100.0)))
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
-    assert main(["report", str(p)]) == 2
+    assert main(["report", str(good), str(p)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {p}: ") and f"{field} must be a finite number" in err
+    assert err.startswith(f"error: {p}: ") and f"{field} must be {rule}" in err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -475,6 +492,20 @@ def test_proxy_mode_with_batch_file(tmp_path, capsys, file_k, num_classes, expec
     assert (out / "gea_seed0.json").exists() == (expected == 0)
     if expected:
         assert "classes" in capsys.readouterr().err
+
+
+def test_batch_file_of_another_image_shape_is_an_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    batch_file = tmp_path / "batch.bin"
+    write_batch_file(batch_file, Batch(images=rng.normal(size=(12, 3, 16, 16)),
+                                       labels=np.arange(12) % 10, num_classes=10))
+    out = tmp_path / "out"
+    code = main(["search", "--mode", "proxy", "--C", "4", "--P", "2",
+                 "--batch-file", str(batch_file), "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(3, 16, 16)" in err and "(3, 8, 8)" in err
+    assert not out.exists()
 
 
 def test_batch_file_with_a_nan_pixel_is_an_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, random_arch
 from gea_nas.autodiff_core import CompGraph
-from gea_nas.network_builder import MicroNetwork, SkeletonConfig, build_network
+from gea_nas.network_builder import SkeletonConfig, build_network
 from gea_nas.zero_proxy import (
     Batch,
     BatchFileError,
@@ -28,9 +28,12 @@ from grad_helpers import relu_preacts
 ALL_NONE = ArchEncoding((Operation.NONE,) * 6)
 
 
+def small_config(n=16, k=4):
+    return ProxyConfig(batch_size=n, skeleton=SkeletonConfig(num_classes=k))
+
+
 def small_batch(seed=0, n=16, k=4):
-    return make_batch(ProxyConfig(batch_size=n, skeleton=SkeletonConfig(num_classes=k)),
-                      np.random.default_rng(seed))
+    return make_batch(small_config(n, k), np.random.default_rng(seed))
 
 
 # --- Batch -----------------------------------------------------------------
@@ -139,15 +142,13 @@ def test_all_none_jacobian_degenerate():
 
 
 def _linear_head_net(seed=7, with_relu=False):
-    sk = SkeletonConfig()
     rng = np.random.default_rng(seed)
     g = CompGraph()
     rid = 0
     if with_relu:
         rid = g.add("relu", rid)
-    w = rng.normal(size=(192, sk.num_classes))
-    g.add("linear", rid, weight=w, bias=np.zeros(sk.num_classes))
-    return MicroNetwork(graph=g, skeleton=sk)
+    g.add("linear", rid, weight=rng.normal(size=(192, 10)))
+    return g
 
 
 def test_linear_head_rows_identical():
@@ -159,9 +160,8 @@ def test_linear_head_rows_identical():
 
 def test_jacobian_rows_match_finite_differences():
     batch = small_batch(seed=4, n=4, k=2)
-    net = build_network(ArchEncoding.from_index(9731), rng=np.random.default_rng(5))
-    rows = compute_jacobian(net, batch)
-    graph = net.graph
+    graph = build_network(ArchEncoding.from_index(9731), rng=np.random.default_rng(5))
+    rows = compute_jacobian(graph, batch)
     x = batch.images
     h = 1e-4
     rng = np.random.default_rng(6)
@@ -181,11 +181,28 @@ def test_jacobian_rows_match_finite_differences():
         assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) <= 1e-3
 
 
-def test_jacobian_shape_mismatch():
-    batch = small_batch()
-    net = build_network(ArchEncoding.from_index(42), SkeletonConfig(image_hw=16))
-    with pytest.raises(ValueError, match="match"):
-        compute_jacobian(net, batch)
+# A 16-sample 4-class 8x8 batch against a skeleton that differs in one fact:
+# (that skeleton, what the message must name of the batch and of the network).
+MISFITS = {
+    "image-shape": (SkeletonConfig(image_hw=16, num_classes=4), ("(3, 8, 8)", "(3, 16, 16)")),
+    "class-count": (SkeletonConfig(num_classes=10), ("4 classes", "10 classes")),
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+def test_score_architecture_refuses_a_batch_that_misfits_the_skeleton(misfit):
+    skeleton, named = MISFITS[misfit]
+    config = ProxyConfig(batch_size=16, skeleton=skeleton)
+    with pytest.raises(ValueError, match="classes") as info:
+        score_architecture(ArchEncoding.from_index(42), small_batch(), config)
+    assert all(side in str(info.value) for side in named)
+
+
+def test_jacobian_proxy_source_refuses_a_misfit_batch():
+    source = JacobianProxySource(small_batch(), ProxyConfig(), seed=0)
+    with pytest.raises(ValueError, match="4 classes"):
+        source.score(ArchEncoding.from_index(42))
+    assert source.scores == {}
 
 
 def test_split_by_class_sizes_and_order():
@@ -259,10 +276,10 @@ def test_aggregate_branches():
 
 def test_score_all_none_invalid_ranks_last():
     batch = small_batch()
-    bad = score_architecture(ALL_NONE, batch, rng=np.random.default_rng(0))
+    bad = score_architecture(ALL_NONE, batch, small_config(), np.random.default_rng(0))
     assert bad == INVALID_SCORE and not bad.valid and bad.z == float("-inf")
-    good = score_architecture(ArchEncoding.from_index(15624), batch,
-                              rng=np.random.default_rng(0))
+    good = score_architecture(ArchEncoding.from_index(15624), batch, small_config(),
+                              np.random.default_rng(0))
     assert good.valid and np.isfinite(good.z)
     assert bad.z < good.z
 
@@ -270,8 +287,8 @@ def test_score_all_none_invalid_ranks_last():
 def test_score_deterministic():
     batch = small_batch(seed=11)
     arch = ArchEncoding.from_index(4242)
-    a = score_architecture(arch, batch, rng=np.random.default_rng(3))
-    b = score_architecture(arch, batch, rng=np.random.default_rng(3))
+    a = score_architecture(arch, batch, small_config(), np.random.default_rng(3))
+    b = score_architecture(arch, batch, small_config(), np.random.default_rng(3))
     assert a == b
 
 
@@ -282,9 +299,10 @@ def test_ranking_invariant_to_batch_permutation():
                      num_classes=batch.num_classes)
     rng_pool = np.random.default_rng(15)
     archs = [random_arch(rng_pool) for _ in range(20)]
-    z_a = [score_architecture(a, batch, rng=np.random.default_rng(500 + i)).z
+    config = small_config(n=24, k=6)
+    z_a = [score_architecture(a, batch, config, np.random.default_rng(500 + i)).z
            for i, a in enumerate(archs)]
-    z_b = [score_architecture(a, permuted, rng=np.random.default_rng(500 + i)).z
+    z_b = [score_architecture(a, permuted, config, np.random.default_rng(500 + i)).z
            for i, a in enumerate(archs)]
     assert list(np.argsort(z_a)) == list(np.argsort(z_b))
     assert np.max(np.abs(np.array(z_a) - np.array(z_b))) <= 1e-9
@@ -330,9 +348,9 @@ def test_jacobian_proxy_source_matches_direct_call():
     batch = small_batch(seed=20)
     arch = ArchEncoding.from_index(11111)
     for seed in (0, 21):
-        via_source = JacobianProxySource(batch, seed=seed).score(arch)
+        via_source = JacobianProxySource(batch, small_config(), seed).score(arch)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 4, arch.index)))
-        assert via_source == score_architecture(arch, batch, rng=rng)
+        assert via_source == score_architecture(arch, batch, small_config(), rng)
 
 
 @settings(max_examples=20, deadline=None)
