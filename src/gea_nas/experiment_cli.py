@@ -250,7 +250,7 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
             sources[seed] = NoisyProxySource(fitness, config.rho, seed)
         else:
             batch = file_batch or make_batch(
-                config.proxy, np.random.default_rng(np.random.SeedSequence((seed, 3))))
+                config.proxy, np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
             sources[seed] = JacobianProxySource(batch, config.proxy, seed)
     return sources
 

@@ -14,13 +14,16 @@ methods are three shapes of that loop:
   - rea: pool of P, all admitted, one child per cycle, no proxy;
   - rs: pool of C, all admitted, so no cycle ever runs.
 
-Determinism: every stochastic draw comes from a generator derived from the
-config seed; given the same config, proxy, and fitness source, two runs
-produce identical histories and logs. Candidate and per-child generators,
-derived from (seed, candidate index) and (seed, cycle, child index), drive
-only sampling and mutation. The proxy takes no generator: a score is a
-function of the cell, and whether a source caches it is the source's affair;
-the loop counts and times every request.
+Determinism: every draw comes from a generator seeded by SeedSequence(key).
+The keys, for run seed s and landscape seed l: (s, 0) tournaments, (s, 1, i)
+candidate i, (s, 2 + c, j) child j of cycle c, (s, 0, 1) the synthetic batch
+(experiment_cli), (s, 0, 2, i) the weights that score cell i (zero_proxy),
+(l, 830201) the landscape and (s, 830202) the noisy proxy (benchmark_store).
+SeedSequence pads a key with zeros, so (s, 3) and (s, 3, 0) would be one
+stream. No two keys here meet unless a run reaches cycle 830199, whose
+child 0 has the key of landscape s. The proxy takes no generator: a score is a
+function of the cell, whether a source caches it is the source's affair,
+and the loop counts and times every request.
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """
@@ -158,12 +161,9 @@ class SearchResult:
         }
 
 
-def _candidate_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, 1, index)))
-
-
-def _child_rng(seed: int, cycle: int, child: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, 2 + cycle, child)))
+def _rng(*key: int) -> np.random.Generator:
+    """The generator of one stream key (module docstring)."""
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def tournament_select(members: Sequence[EvaluatedModel], s: int,
@@ -210,7 +210,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
 
     candidates = []
     for i in range(pool):
-        arch = random_arch(_candidate_rng(config.seed, i))
+        arch = random_arch(_rng(config.seed, 1, i))
         candidates.append((arch, scored(arch)))
     kept = range(keep)
     if proxy is not None:
@@ -219,14 +219,14 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     for i in kept:
         admit(*candidates[i])
 
-    main_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
+    main_rng = _rng(config.seed, 0)
     cycle_log: list[CycleLog] = []
     while len(history) < config.C:
         cycle = len(cycle_log)
         parent = tournament_select(history[-keep:], config.S, main_rng)
         logs = []
         for j in range(children):
-            child = mutate(parent.arch, _child_rng(config.seed, cycle, j))
+            child = mutate(parent.arch, _rng(config.seed, 2 + cycle, j))
             logs.append(ChildLog(child, scored(child)))
         # Best proxy z (an invalid child's -inf loses to any valid one),
         # earlier child winning ties.

@@ -411,6 +411,24 @@ def test_proxy_mode_runs(tmp_path):
     assert 1 <= row["proxy_computed"] <= row["proxy_evals"]
 
 
+def test_every_random_stream_of_a_proxy_search_is_distinct(tmp_path, monkeypatch):
+    # SeedSequence pads a short key with zeros, so keys such as (s, 3) and
+    # (s, 3, 0) seed one stream; compare the states, not the keys.
+    states = []
+    default_rng = np.random.default_rng
+
+    def recording_default_rng(seed=None):
+        if isinstance(seed, np.random.SeedSequence):
+            states.append(tuple(seed.generate_state(8)))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    assert main(["search", "--mode", "proxy", "--C", "8", "--P", "2", "--seeds", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(states) == 41  # landscape, batch, tournaments, 8 + 12 cells, 18 inits
+    assert len(set(states)) == len(states)
+
+
 # Two identical proxy searches in one process; prints the second one's minor
 # page faults per computed proxy score, or "null" where mallopt is missing.
 FAULTS_CODE = """

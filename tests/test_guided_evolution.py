@@ -9,7 +9,7 @@ from gea_nas.benchmark_store import OracleProxySource, SyntheticLandscape
 from gea_nas.guided_evolution import (
     EvaluatedModel,
     EvolutionConfig,
-    _candidate_rng,
+    _rng,
     best_of,
     run_random_baseline,
     run_rea_baseline,
@@ -178,7 +178,7 @@ def test_init_keeps_top_p_by_proxy():
     land = SyntheticLandscape(11)
     result = run_search(config, IndexProxy(), land)
     # rebuild the candidate stream the search must have drawn
-    candidates = [random_arch(_candidate_rng(config.seed, i)) for i in range(10)]
+    candidates = [random_arch(_rng(config.seed, 1, i)) for i in range(10)]
     top3 = sorted(candidates, key=lambda a: a.index, reverse=True)[:3]
     init = result.history[:3]
     assert {m.arch.index for m in init} == {a.index for a in top3}
@@ -282,7 +282,7 @@ def test_invalid_scores_rank_last_property(seed, mask_seed, invalid_share, p, ex
 
     # initial admission: the P best of C candidates, so an invalid member
     # means no valid candidate was left out
-    candidates = [proxy.score(random_arch(_candidate_rng(seed, i))) for i in range(config.C)]
+    candidates = [proxy.score(random_arch(_rng(seed, 1, i))) for i in range(config.C)]
     init = [m.proxy for m in result.history[:p]]
     left_out = sum(s.valid for s in candidates) - sum(s.valid for s in init)
     assert left_out == 0 or all(s.valid for s in init)
@@ -321,7 +321,7 @@ def test_cached_scores_equal_fresh_scores(seed, p, extra):
     children = [c for log in result.cycle_log for c in log.children]
     for item in [*result.history, *children]:
         assert item.proxy == fresh.score(item.arch)
-    requested = [random_arch(_candidate_rng(seed, i)).index for i in range(config.C)]
+    requested = [random_arch(_rng(seed, 1, i)).index for i in range(config.C)]
     requested += [c.arch.index for c in children]
     assert result.num_proxy_evals == len(requested)
     assert sorted(computed) == sorted(set(requested))  # each cell computed once

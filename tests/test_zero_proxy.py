@@ -349,7 +349,7 @@ def test_jacobian_proxy_source_matches_direct_call():
     arch = ArchEncoding.from_index(11111)
     for seed in (0, 21):
         via_source = JacobianProxySource(batch, small_config(), seed).score(arch)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 4, arch.index)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2, arch.index)))
         assert via_source == score_architecture(arch, batch, small_config(), rng)
 
 
