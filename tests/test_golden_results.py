@@ -50,9 +50,9 @@ GOLDEN = {
         "44c3b333ff3d4c7864f674560a0cdf852ff116a6341c377a06610b34ed3e4ae9",
     ),
     "gea_proxy": (
-        "cf3f23670fc132ad00ae7c47f4b943162dfc7e965d3229782c74d90cae0a54af",
-        "1a1ab028759207203274221f8a1aa1326dc1929664485e877f0649006b676bfd",
-        "c8ac8792626cb0420162a3acef4b6d5f8a3107eb4c3f545b37ed3fe72fce7a52",
+        "7bfe53363693ac566d3ba84069dad6f145f3e289485fed34a3e920c850a12a5d",
+        "b6c46cc1b46f2abec23e7efc7dd4d9998c2ae7ec4a036a363e3681833b9b70e0",
+        "8dc329b49696b62796c00eb4c07196c9db233fb0e2fae86e87c8b50b75266550",
     ),
 }
 
