@@ -238,8 +238,7 @@ def _fitness_source(config: RunConfig):
 def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     """Each seed's proxy source, built once per command and handed to every
     gea run of that seed, so a Jacobian source's memo spans all of them. A
-    --batch-file is read once (score_architecture checks that it fits the
-    skeleton); without one, each seed draws its own synthetic batch."""
+    --batch-file is read once; without one, each seed draws its own batch."""
     file_batch, sources = None, {}
     if config.mode == "proxy" and config.batch_file:
         file_batch = read_batch_file(config.batch_file)

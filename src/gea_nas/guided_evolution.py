@@ -19,11 +19,11 @@ The keys, for run seed s and landscape seed l: (s, 0) tournaments, (s, 1, i)
 candidate i, (s, 2 + c, j) child j of cycle c, (s, 0, 1) the synthetic batch
 (experiment_cli), (s, 0, 2, i) the weights that score cell i (zero_proxy),
 (l, 830201) the landscape and (s, 830202) the noisy proxy (benchmark_store).
-SeedSequence pads a key with zeros, so (s, 3) and (s, 3, 0) would be one
-stream. No two keys here meet unless a run reaches cycle 830199, whose
-child 0 has the key of landscape s. The proxy takes no generator: a score is a
-function of the cell, whether a source caches it is the source's affair,
-and the loop counts and times every request.
+SeedSequence pads a key to four words with zeros, so (s, 3) and (s, 3, 0)
+would be one stream. No two keys here meet unless a run reaches cycle
+830199, whose child 0 has the key of landscape s. The proxy takes no
+generator: a score is a function of the cell, whether a source caches it is
+the source's affair, and the loop counts and times every request.
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """

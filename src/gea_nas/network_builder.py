@@ -1,10 +1,10 @@
 """Realize a cell encoding as a concrete scoring network, a CompGraph.
 
 Layout: stem (3x3 conv then BN) -> stacked copies of the encoded cell ->
-head (BN, ReLU, global average pool, bias-free linear classifier; a zero
-bias would not move the Jacobian). All cells share
-one architecture and one channel width; there are no reduction blocks and
-no training, the network exists only to be differentiated at init.
+head (BN, ReLU, global average pool, linear classifier without a bias, which
+would not move the Jacobian). All cells share one architecture and one
+channel width; there are no reduction blocks and no training, the network
+exists only to be differentiated at init.
 
 Inside a cell, node 0 is the cell input and node j sums the realized ops
 of every edge (i, j) with i < j. Edge realizations:
@@ -60,8 +60,7 @@ def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarra
 
 def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
                   rng: np.random.Generator | None = None) -> CompGraph:
-    """Construct the scoring network for ``arch`` as a graph whose records
-    hold the weights.
+    """Construct the scoring network for ``arch``; its records hold the weights.
 
     Deterministic: weights are drawn from ``rng`` in a fixed order (stem,
     then cells in depth order with edges in index order, then head), and
