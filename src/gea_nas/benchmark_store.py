@@ -28,7 +28,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .arch_space import NUM_EDGES, NUM_OPS, SPACE_SIZE, ArchEncoding, CellParseError, op_index_table, parse_str
-from .zero_proxy import ProxyScore
 
 NOMINAL_TRAIN_SECONDS = 100.0
 INTERACTION_SCALE_DEFAULT = 0.4
@@ -72,12 +71,6 @@ class BenchRecord:
             raise ValueError(f"train_seconds must be non-negative: {self.train_seconds}")
 
 
-def _arch_key(arch) -> int:
-    if isinstance(arch, ArchEncoding):
-        return arch.index
-    return parse_str(str(arch)).index
-
-
 class TabularStore:
     """Immutable map (arch, dataset) -> BenchRecord built by load_jsonl."""
 
@@ -99,14 +92,13 @@ class TabularStore:
     def records(self) -> list[BenchRecord]:
         return list(self._records.values())
 
-    def lookup(self, arch, dataset: str) -> BenchRecord:
-        key = (_arch_key(arch), dataset)
+    def lookup(self, arch: ArchEncoding, dataset: str) -> BenchRecord:
         try:
-            return self._records[key]
+            return self._records[arch.index, dataset]
         except KeyError:
             raise StoreLookupError(f"no record for arch {str(arch)!r} on dataset {dataset!r}") from None
 
-    def evaluate(self, arch, dataset: str) -> tuple[float, float, float]:
+    def evaluate(self, arch: ArchEncoding, dataset: str) -> tuple[float, float, float]:
         rec = self.lookup(arch, dataset)
         return rec.val_acc, rec.test_acc, rec.train_seconds
 
@@ -170,6 +162,8 @@ def check_landscape(seed: int, interaction_scale: float) -> None:
     knob; the run config checks them too, whatever its fitness source."""
     if seed < 0:
         raise ValueError(f"landscape_seed must be a non-negative integer, got {seed}")
+    if seed >= 2**32:
+        raise ValueError(f"landscape_seed must be below 2**32, got {seed}")
     if not 0 <= interaction_scale < math.inf:
         raise ValueError(f"interaction_scale must be finite and non-negative, "
                          f"got {interaction_scale}")
@@ -203,10 +197,10 @@ class SyntheticLandscape:
         self.optimum_index = int(self.fitness.argmax())
         self.optimum_fitness = float(self.fitness[self.optimum_index])
 
-    def fitness_of(self, arch) -> float:
-        return float(self.fitness[_arch_key(arch)])
+    def fitness_of(self, arch: ArchEncoding) -> float:
+        return float(self.fitness[arch.index])
 
-    def evaluate(self, arch, dataset: str = "synthetic") -> tuple[float, float, float]:
+    def evaluate(self, arch: ArchEncoding, dataset: str = "synthetic") -> tuple[float, float, float]:
         f = self.fitness_of(arch)
         return f, f, NOMINAL_TRAIN_SECONDS
 
@@ -236,9 +230,9 @@ class OracleProxySource:
         self._source = fitness_source
         self._dataset = dataset
 
-    def score(self, arch) -> ProxyScore:
+    def score(self, arch: ArchEncoding) -> float:
         val, _, _ = self._source.evaluate(arch, self._dataset)
-        return ProxyScore(z=float(val))
+        return float(val)
 
 
 class NoisyProxySource:
@@ -299,5 +293,5 @@ class NoisyProxySource:
             raise CalibrationError(
                 f"calibrated Spearman {self.empirical_spearman:.4f} misses target {rho}")
 
-    def score(self, arch) -> ProxyScore:
-        return ProxyScore(z=float(self.values[_arch_key(arch)]))
+    def score(self, arch: ArchEncoding) -> float:
+        return float(self.values[arch.index])

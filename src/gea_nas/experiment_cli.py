@@ -111,6 +111,8 @@ class RunConfig:
             raise CliError("need at least one seed")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise CliError(f"seeds must be distinct non-negative integers, got {self.seeds}")
+        for seed in self.seeds:
+            replace(self.evolution, seed=seed)  # EvolutionConfig bounds each seed
 
 
 def _parse_config_file(path: str) -> dict:
@@ -341,8 +343,8 @@ def cmd_search(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
-    if len(c_values) < 2:
-        raise CliError("sweep needs at least two C values")
+    if len(c_values) < 2 or len(set(c_values)) != len(c_values):
+        raise CliError(f"sweep needs at least two C values, all distinct, got {c_values}")
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
     fitness, dataset = _fitness_source(config)
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--c-values", dest="c_values", type=_int_list, required=True,
-                         help="comma-separated C budgets, at least two")
+                         help="comma-separated C budgets, at least two, all distinct")
 
     p_report = sub.add_parser("report", help="aggregate result JSONs into a table")
     p_report.add_argument("files", nargs="+", help="SearchResult JSON files")

@@ -20,16 +20,19 @@ candidate i, (s, 2 + c, j) child j of cycle c, (s, 0, 1) the synthetic batch
 (experiment_cli), (s, 0, 2, i) the weights that score cell i (zero_proxy),
 (l, 830201) the landscape and (s, 830202) the noisy proxy (benchmark_store).
 SeedSequence pads a key to four words with zeros, so (s, 3) and (s, 3, 0)
-would be one stream. No two keys here meet unless a run reaches cycle
-830199, whose child 0 has the key of landscape s. The proxy takes no
-generator: a score is a function of the cell, whether a source caches it is
-the source's affair, and the loop counts and times every request.
+would be one stream, and splits a seed of 2**32 or more into two words, so
+run and landscape seeds must lie in [0, 2**32). No two keys here meet unless
+a run reaches cycle 830199, whose child 0 has the key of landscape s. The
+proxy takes no generator: a score is a float (-inf for an invalid cell) and a
+function of the cell; whether a source caches it is the source's affair, and
+the loop counts and times every request.
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
@@ -37,13 +40,12 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .arch_space import ArchEncoding, mutate, random_arch
-from .zero_proxy import ProxyScore
 
 
 class ProxySource(Protocol):
-    """Scores a cell; the same cell must always get the same score."""
+    """Scores a cell (-inf: invalid); a cell always gets the same score."""
 
-    def score(self, arch: ArchEncoding) -> ProxyScore: ...
+    def score(self, arch: ArchEncoding) -> float: ...
 
 
 class FitnessSource(Protocol):
@@ -65,6 +67,8 @@ class EvolutionConfig:
             raise ValueError(f"need 1 <= P <= C, got P={self.P} C={self.C}")
         if self.S < 1:
             raise ValueError(f"tournament size must be >= 1, got {self.S}")
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class EvaluatedModel:
     test_acc: float
     birth: int
     train_seconds: float
-    proxy: Optional[ProxyScore] = None
+    proxy: Optional[float] = None  # -inf for an invalid cell
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fitness <= 100.0:
@@ -84,7 +88,7 @@ class EvaluatedModel:
 @dataclass(frozen=True)
 class ChildLog:
     arch: ArchEncoding
-    proxy: Optional[ProxyScore]
+    proxy: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -126,16 +130,16 @@ class SearchResult:
     def to_json_dict(self) -> dict:
         """JSON form. Everything outside "timing" is deterministic per
         (config, proxy, fitness); "timing" holds wall-clock-derived values."""
-        def z_of(p: Optional[ProxyScore]):
-            if p is None or not p.valid:
-                return None
-            return p.z
+        def valid(p: Optional[float]) -> Optional[bool]:
+            return None if p is None else p > -math.inf
+
+        def z_of(p: Optional[float]) -> Optional[float]:
+            return p if valid(p) else None
 
         def model_dict(m: EvaluatedModel) -> dict:
             return {"arch": str(m.arch), "val_acc": m.fitness, "test_acc": m.test_acc,
                     "birth": m.birth, "train_seconds": m.train_seconds,
-                    "proxy_z": z_of(m.proxy),
-                    "proxy_valid": None if m.proxy is None else m.proxy.valid}
+                    "proxy_z": z_of(m.proxy), "proxy_valid": valid(m.proxy)}
 
         return {
             "method": self.method,
@@ -147,8 +151,7 @@ class SearchResult:
                 "parent_birth": c.parent_birth,
                 "parent_arch": str(self.history[c.parent_birth].arch),
                 "children": [{"arch": str(ch.arch), "z": z_of(ch.proxy),
-                              "valid": None if ch.proxy is None else ch.proxy.valid}
-                             for ch in c.children],
+                              "valid": valid(ch.proxy)} for ch in c.children],
                 "admitted_index": c.admitted_index,
                 "population_births": list(c.population_births),
             } for c in self.cycle_log],
@@ -189,7 +192,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     proxy_wall = 0.0
     num_proxy = 0
 
-    def scored(arch: ArchEncoding) -> Optional[ProxyScore]:
+    def scored(arch: ArchEncoding) -> Optional[float]:
         """The cell's score, its request counted and timed."""
         nonlocal proxy_wall, num_proxy
         if proxy is None:
@@ -202,7 +205,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
 
     history: list[EvaluatedModel] = []
 
-    def admit(arch: ArchEncoding, score: Optional[ProxyScore]) -> None:
+    def admit(arch: ArchEncoding, score: Optional[float]) -> None:
         val, test, secs = fitness.evaluate(arch, config.dataset)
         model = EvaluatedModel(arch=arch, fitness=val, test_acc=test,
                                birth=len(history), train_seconds=secs, proxy=score)
@@ -214,7 +217,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         candidates.append((arch, scored(arch)))
     kept = range(keep)
     if proxy is not None:
-        order = sorted(range(pool), key=lambda i: candidates[i][1].z, reverse=True)
+        order = sorted(range(pool), key=lambda i: candidates[i][1], reverse=True)
         kept = sorted(order[:keep])  # generation order = birth order
     for i in kept:
         admit(*candidates[i])
@@ -228,9 +231,9 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         for j in range(children):
             child = mutate(parent.arch, _rng(config.seed, 2 + cycle, j))
             logs.append(ChildLog(child, scored(child)))
-        # Best proxy z (an invalid child's -inf loses to any valid one),
+        # Best proxy score (an invalid child's -inf loses to any valid one),
         # earlier child winning ties.
-        best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy.z)
+        best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy)
         admit(logs[best].arch, logs[best].proxy)
         cycle_log.append(CycleLog(
             cycle=cycle, parent_birth=parent.birth, children=tuple(logs),

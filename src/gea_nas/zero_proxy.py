@@ -191,8 +191,8 @@ class JacobianProxySource:
 
     Each cell is scored at one weight initialization, drawn from
     SeedSequence((seed, 0, 2, cell index)). A score is then a function of
-    (batch, config, seed, cell) alone, so ``scores`` keeps each cell's score
-    by index and every later request of that cell, from any run handed this
+    (batch, config, seed, cell) alone, so ``scores`` keeps each cell's z by
+    index and every later request of that cell, from any run handed this
     source, is a lookup. The seed is part of the init because runs of
     different seeds can share one file batch.
     """
@@ -201,14 +201,14 @@ class JacobianProxySource:
         self.batch = batch
         self.config = config if config is not None else ProxyConfig()
         self.seed = seed
-        self.scores: dict[int, ProxyScore] = {}
+        self.scores: dict[int, float] = {}
 
-    def score(self, arch: ArchEncoding) -> ProxyScore:
-        s = self.scores.get(arch.index)
-        if s is None:
+    def score(self, arch: ArchEncoding) -> float:
+        z = self.scores.get(arch.index)
+        if z is None:
             rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, arch.index)))
-            s = self.scores[arch.index] = score_architecture(arch, self.batch, self.config, rng)
-        return s
+            z = self.scores[arch.index] = score_architecture(arch, self.batch, self.config, rng).z
+        return z
 
 
 # ---------------------------------------------------------------------------

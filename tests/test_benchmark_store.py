@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm, rankdata, spearmanr
 
 import gea_nas
-from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, encode_str, enumerate_all
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, encode_str, enumerate_all, parse_str
 from gea_nas.benchmark_store import (
     NOMINAL_TRAIN_SECONDS,
     BenchRecord,
     JsonlFormatError,
     NoisyProxySource,
+    OracleProxySource,
     StoreLookupError,
     SyntheticLandscape,
     TabularStore,
@@ -44,7 +45,7 @@ def test_single_line_parse(tmp_path):
     assert len(store) == 1
     assert store.datasets == {"cifar10"}
     assert store.complete["cifar10"] is False
-    rec = store.lookup(ALL_NONE_STR, "cifar10")
+    rec = store.lookup(parse_str(ALL_NONE_STR), "cifar10")
     assert rec.val_acc == 10.0 and rec.train_seconds == 100.0
 
 
@@ -150,7 +151,7 @@ def test_integer_beyond_float_range_rejected(tmp_path):
 
 def test_integer_numbers_accepted(tmp_path):
     line = json.dumps({**json.loads(EXAMPLE_LINE), "val_acc": 10, "train_seconds": 0})
-    rec = load_jsonl(write_lines(tmp_path, [line])).lookup(ALL_NONE_STR, "cifar10")
+    rec = load_jsonl(write_lines(tmp_path, [line])).lookup(parse_str(ALL_NONE_STR), "cifar10")
     assert (rec.val_acc, rec.train_seconds) == (10.0, 0.0)
     assert type(rec.val_acc) is float
 
@@ -160,14 +161,15 @@ def test_lookup_not_found_never_defaults(tmp_path):
     with pytest.raises(StoreLookupError):
         store.lookup(ArchEncoding.from_index(1), "cifar10")
     with pytest.raises(StoreLookupError):
-        store.lookup(ALL_NONE_STR, "cifar100")
+        store.lookup(parse_str(ALL_NONE_STR), "cifar100")
     # repeated lookups are pure
-    assert store.lookup(ALL_NONE_STR, "cifar10") == store.lookup(ALL_NONE_STR, "cifar10")
+    assert (store.lookup(parse_str(ALL_NONE_STR), "cifar10")
+            == store.lookup(parse_str(ALL_NONE_STR), "cifar10"))
 
 
 def test_evaluate_returns_triple(tmp_path):
     store = load_jsonl(write_lines(tmp_path, [EXAMPLE_LINE]))
-    assert store.evaluate(ALL_NONE_STR, "cifar10") == (10.0, 10.0, 100.0)
+    assert store.evaluate(parse_str(ALL_NONE_STR), "cifar10") == (10.0, 10.0, 100.0)
 
 
 def test_duplicate_records_rejected_in_constructor():
@@ -297,7 +299,9 @@ def test_proxy_score_interface():
     proxy = NoisyProxySource(land, 0.9, seed=3)
     arch = ArchEncoding.from_index(123)
     score = proxy.score(arch)
-    assert score.valid and score.z == float(proxy.values[123])
+    assert type(score) is float and score == float(proxy.values[123])
+    score = OracleProxySource(land).score(arch)
+    assert type(score) is float and score == land.fitness_of(arch)
 
 
 PROXY_SEARCH_CODE = """
@@ -347,6 +351,22 @@ def test_every_third_party_import_is_a_declared_dependency():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"gea_nas"}
     assert third_party <= declared, f"undeclared imports: {sorted(third_party - declared)}"
+
+
+def test_loop_and_table_sources_import_only_arch_space():
+    """The search loop and the table sources deal in cells and float scores,
+    so neither reaches into the proxy or the network modules."""
+    package = Path(__file__).resolve().parents[1] / "src" / "gea_nas"
+    for name in ("guided_evolution.py", "benchmark_store.py"):
+        modules = set()
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "gea_nas"):
+                module = (node.module or "").removeprefix("gea_nas").lstrip(".")
+                modules.update([module] if module else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                modules.update(a.name for a in node.names if a.name.split(".")[0] == "gea_nas")
+        assert modules == {"arch_space"}, f"{name} imports {sorted(modules)} from the package"
 
 
 def test_every_imported_name_is_used():

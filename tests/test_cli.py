@@ -169,9 +169,11 @@ def test_sweep_builds_each_seed_source_once(tmp_path, monkeypatch, mode, source)
 
 
 def test_sweep_rejects_single_c(tmp_path, capsys):
-    code = main(["sweep", "--c-values", "10", "--out", str(tmp_path / "s.csv")])
-    assert code == 2
-    assert "two C values" in capsys.readouterr().err
+    for c_values in ("10", "20,20"):
+        code = main(["sweep", "--c-values", c_values, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "two C values" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_budgets_stand_in_for_c(tmp_path, capsys):
@@ -364,13 +366,15 @@ def test_seed_range_flags():
                                   "seeds = 0,-1\n", "seed_base = -3\n",
                                   'mode = "proxy"\nt = NaN\n', 'mode = "proxy"\nt = Infinity\n',
                                   "interaction_scale = Infinity\n", "interaction_scale = NaN\n",
-                                  "interaction_scale = -1\n"],
+                                  "interaction_scale = -1\n", "seeds = 4294967297\n",
+                                  "landscape_seed = 4294967296\n"],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
                               "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
                               "seed-repeated", "seed-negative", "seed-base-negative",
                               "t-nan", "t-inf", "interaction-scale-inf",
-                              "interaction-scale-nan", "interaction-scale-negative"])
+                              "interaction-scale-nan", "interaction-scale-negative",
+                              "seed-from-2**32", "landscape-seed-from-2**32"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -556,7 +560,7 @@ def test_seeds_sharing_a_file_batch_score_a_cell_differently(tmp_path):
         doc = json.loads((out / f"gea_seed{seed}.json").read_text())
         model = next(m for m in doc["history"] if m["proxy_valid"])
         arch = parse_str(model["arch"])
-        z = {s: JacobianProxySource(batch, ProxyConfig(), s).score(arch).z for s in (0, 1)}
+        z = {s: JacobianProxySource(batch, ProxyConfig(), s).score(arch) for s in (0, 1)}
         assert model["proxy_z"] == z[seed]
         assert z[0] != z[1]
 

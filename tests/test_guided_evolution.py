@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,7 @@ from gea_nas.guided_evolution import (
     tournament_select,
 )
 from gea_nas.network_builder import SkeletonConfig
-from gea_nas.zero_proxy import (
-    INVALID_SCORE,
-    JacobianProxySource,
-    ProxyConfig,
-    ProxyScore,
-    make_batch,
-    score_architecture,
-)
+from gea_nas.zero_proxy import JacobianProxySource, ProxyConfig, make_batch, score_architecture
 
 
 class StubRng:
@@ -41,12 +36,12 @@ class IndexProxy:
     """z equals the architecture's space index: a fixed, known total order."""
 
     def score(self, arch):
-        return ProxyScore(z=float(arch.index))
+        return float(arch.index)
 
 
 class ConstantProxy:
     def score(self, arch):
-        return ProxyScore(z=1.0)
+        return 1.0
 
 
 class FlatLandscape:
@@ -92,6 +87,8 @@ def test_config_validation():
         EvolutionConfig(C=4, P=0)
     with pytest.raises(ValueError, match="tournament"):
         EvolutionConfig(S=0)
+    with pytest.raises(ValueError, match="seed"):
+        EvolutionConfig(seed=2**32)
     EvolutionConfig(C=1, P=1, S=1)  # boundary is legal
 
 
@@ -219,7 +216,7 @@ def test_admitted_child_maximizes_proxy():
     config = EvolutionConfig(C=25, P=5, seed=17)
     result = run_search(config, OracleProxySource(land), land)
     for log in result.cycle_log:
-        zs = [c.proxy.z for c in log.children]
+        zs = [c.proxy for c in log.children]
         assert len(zs) == 5
         assert zs[log.admitted_index] == max(zs)
         # earlier index must win ties
@@ -240,14 +237,14 @@ def test_invalid_scores_rank_below_valid():
     class MostlyInvalidProxy:
         def score(self, arch):
             if arch.index % 3 == 0:
-                return ProxyScore(z=float(arch.index))
-            return INVALID_SCORE
+                return float(arch.index)
+            return -math.inf
 
     config = EvolutionConfig(C=18, P=3, seed=9)
     result = run_search(config, MostlyInvalidProxy(), SyntheticLandscape(9))
     for log in result.cycle_log:
-        if any(c.proxy.valid for c in log.children):
-            assert log.children[log.admitted_index].proxy.valid
+        if any(c.proxy > -math.inf for c in log.children):
+            assert log.children[log.admitted_index].proxy > -math.inf
 
 
 class MaskedProxy:
@@ -259,8 +256,8 @@ class MaskedProxy:
 
     def score(self, arch):
         if self.invalid[arch.index]:
-            return INVALID_SCORE
-        return ProxyScore(z=float(arch.index % 3))
+            return -math.inf
+        return float(arch.index % 3)
 
 
 class IndexLandscape:
@@ -278,20 +275,20 @@ def test_invalid_scores_rank_last_property(seed, mask_seed, invalid_share, p, ex
     result = run_search(config, proxy, IndexLandscape())
 
     def rank_key(score):  # valid first, then z
-        return (score.valid, score.z)
+        return (score > -math.inf, score)
 
     # initial admission: the P best of C candidates, so an invalid member
     # means no valid candidate was left out
     candidates = [proxy.score(random_arch(_rng(seed, 1, i))) for i in range(config.C)]
     init = [m.proxy for m in result.history[:p]]
-    left_out = sum(s.valid for s in candidates) - sum(s.valid for s in init)
-    assert left_out == 0 or all(s.valid for s in init)
+    left_out = sum(s > -math.inf for s in candidates) - sum(s > -math.inf for s in init)
+    assert left_out == 0 or all(s > -math.inf for s in init)
     assert sorted(map(rank_key, init)) == sorted(map(rank_key, candidates))[-p:]
     # every cycle admits the first of the best children
     for log in result.cycle_log:
         scores = [c.proxy for c in log.children]
-        if any(s.valid for s in scores):
-            assert scores[log.admitted_index].valid
+        if any(s > -math.inf for s in scores):
+            assert scores[log.admitted_index] > -math.inf
         assert log.admitted_index == max(range(p), key=lambda j: rank_key(scores[j]))
         assert result.history[p + log.cycle].proxy is scores[log.admitted_index]
 
@@ -452,7 +449,7 @@ def test_json_dict_shape():
 def test_json_null_for_invalid_proxy():
     class AlwaysInvalid:
         def score(self, arch):
-            return INVALID_SCORE
+            return -math.inf
 
     config = EvolutionConfig(C=6, P=2, seed=8)
     doc = run_search(config, AlwaysInvalid(), SyntheticLandscape(8)).to_json_dict()
