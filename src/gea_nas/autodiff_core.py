@@ -2,8 +2,8 @@
 differentiation back to the network input.
 
 Tensors are plain numpy float64 arrays. Every feature map inside a CompGraph,
-and every kernel operand, is channel-major with the sample axis at 1:
-(C, N, H, W), and (C, N) after global average pooling. CompGraph.forward
+and every kernel operand, is channel-major with the sample axis last:
+(C, H, W, N), and (C, N) after global average pooling. CompGraph.forward
 copies its (N, C, H, W) batch into that layout once and backward_to_input
 hands the input gradient back as (N, C, H, W); linear is the one kernel that
 puts samples first, flattening to (N, F) for (N, K) logits. Only input
@@ -20,26 +20,26 @@ Conventions:
   - the ReLU gradient at exactly 0 is 0.
 
 Kernel forms:
-  - a conv is one GEMM of the (Cout, Cin*k*k) weights with a (Cin*k*k, N*H*W)
-    matrix whose (Cout, N*H*W) product is the output map: the input itself
-    for a 1x1 kernel, its patch matrix for a 3x3 kernel;
+  - a conv is one GEMM of the (Cout, Cin*k*k) weights with a (Cin*k*k, H*W*N)
+    matrix whose (Cout, H*W*N) product is the output map: the input itself
+    for a 1x1 kernel, its patch matrix, copied in rows W*N long, for 3x3;
   - the conv input gradient is the forward conv with each kernel flipped
     spatially and Cin/Cout swapped, its adjoint;
-  - pooling is separable: each element sums its neighbours along W, those
-    sums are summed along H, and the total is divided by 9; the same
-    stencil is its own gradient;
+  - pooling is two products with tridiagonal bands of ones, (W, W) along W
+    and then (H, H)/9 along H; it is symmetric, so it is its own gradient,
+    and one non-finite element makes its (channel, sample) image NaN (0*inf);
   - batch norm centres its input once and squares the centred values for
     the variance; its statistics reduce one contiguous row per channel.
 
 Every kernel runs a fixed sequence of numpy operations, so results are
 reproducible bit for bit on a given machine, numpy build and BLAS; another
-BLAS may differ in the last bits of a conv.
+BLAS may differ in the last bits of a conv or a pooling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,33 +60,33 @@ class GraphStateError(RuntimeError):
 
 
 def _patches_3x3(x: np.ndarray) -> np.ndarray:
-    """(C, N, H, W) -> patch matrix (C*9, N*H*W), zero padding 1.
+    """(C, H, W, N) -> patch matrix (C*9, H*W*N), zero padding 1.
 
     Row c*9 + i*3 + j holds channel c shifted by (i-1, j-1), which matches the
     (C, 3, 3) order of a flattened weight row.
     """
-    c, n, h, w = x.shape
-    xp = np.zeros((c, n, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((c, 3, 3, n, h, w))
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2, w + 2, n))
+    xp[:, 1:-1, 1:-1] = x
+    cols = np.empty((c, 3, 3, h, w, n))
     for i in range(3):
         for j in range(3):
-            cols[:, i, j] = xp[:, :, i : i + h, j : j + w]
-    return cols.reshape(c * 9, n * h * w)
+            cols[:, i, j] = xp[:, i : i + h, j : j + w]
+    return cols.reshape(c * 9, h * w * n)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """conv2d without the operand checks. The input gradient calls this
     directly, so conv2d itself runs only for forward convolutions."""
-    cin, n, h, wd = x.shape
+    cin, h, wd, n = x.shape
     cout = w.shape[0]
     cols = x.reshape(cin, -1) if w.shape[2] == 1 else _patches_3x3(x)
-    return (w.reshape(cout, -1) @ cols).reshape(cout, n, h, wd)
+    return (w.reshape(cout, -1) @ cols).reshape(cout, h, wd, n)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cross-correlation of (Cin, N, H, W) with weights (Cout, Cin, k, k), k in {1, 3},
-    giving (Cout, N, H, W)."""
+    """Cross-correlation of (Cin, H, W, N) with weights (Cout, Cin, k, k), k in {1, 3},
+    giving (Cout, H, W, N)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {w.shape}")
     _, cin_w, k, k2 = w.shape
@@ -106,24 +106,23 @@ def conv2d_input_grad(dout: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _correlate(dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
+@lru_cache(maxsize=32)
+def _band(n: int) -> np.ndarray:
+    """The (n, n) tridiagonal matrix of ones; read-only, as the cache shares it."""
+    band = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    band.flags.writeable = False
+    return band
+
+
 def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
-    """3x3 window mean, stride 1, zero pad 1; divisor fixed at 9.
-
-    Sums along W, then along H; edge windows skip the terms that fall in the
-    padding, which is the same as adding its zeros.
-    """
-    rows = np.copy(x)
-    rows[..., 1:] += x[..., :-1]
-    rows[..., :-1] += x[..., 1:]
-    out = np.copy(rows)
-    out[:, :, 1:] += rows[:, :, :-1]
-    out[:, :, :-1] += rows[:, :, 1:]
-    out /= 9.0
-    return out
+    """3x3 window mean of (C, H, W, N), stride 1, zero pad 1, divisor 9: one band
+    product sums along W, another along H; a band omits the padded zeros."""
+    c, h, w, n = x.shape
+    rows = np.matmul(_band(w), x.reshape(c * h, w, n))
+    return np.matmul(_band(h) / 9.0, rows.reshape(c, h, w * n)).reshape(x.shape)
 
 
-# The pooling operator is self-adjoint (symmetric uniform stencil, same
-# padding), so the input gradient is the same stencil applied to dout.
+# Pooling is self-adjoint (symmetric bands), so its input gradient is itself.
 avg_pool_3x3_grad = avg_pool_3x3
 
 
@@ -160,13 +159,13 @@ def relu_input_grad(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """(C, N, H, W) -> (C, N) spatial mean."""
-    return x.mean(axis=(2, 3))
+    """(C, H, W, N) -> (C, N) spatial mean."""
+    return x.mean(axis=(1, 2))
 
 
 def linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Flatten x, sample axis at 1, to (N, F) and apply xW; W is (F, K), no bias."""
-    flat = np.moveaxis(x, 1, 0).reshape(x.shape[1], -1)
+    """Flatten x, sample axis last, to (N, F) and apply xW; W is (F, K), no bias."""
+    flat = np.moveaxis(x, -1, 0).reshape(x.shape[-1], -1)
     if flat.shape[1] != w.shape[0]:
         raise ShapeError(f"linear expects {w.shape[0]} features, got {flat.shape[1]}")
     return flat @ w
@@ -186,8 +185,8 @@ class Record:
 
     kind: str
     inputs: tuple[int, ...]
-    weight: Optional[np.ndarray] = None
-    out: Optional[np.ndarray] = field(default=None, repr=False)
+    weight: np.ndarray | None = None
+    out: np.ndarray | None = field(default=None, repr=False)
     cache: object = field(default=None, repr=False)
 
 
@@ -217,7 +216,7 @@ class CompGraph:
         """Execute all records on the (N, C, H, W) batch x in order; returns the
         logits and caches activations."""
         recs = self.records
-        recs[0].out = np.ascontiguousarray(np.transpose(x, (1, 0, 2, 3)), dtype=np.float64)
+        recs[0].out = np.ascontiguousarray(np.transpose(x, (1, 2, 3, 0)), dtype=np.float64)
         for rec in recs[1:]:
             srcs = [recs[i].out for i in rec.inputs]
             if rec.kind == "conv":
@@ -280,11 +279,11 @@ class CompGraph:
             elif rec.kind == "gap":
                 shape = recs[rec.inputs[0]].out.shape
                 accumulate(rec.inputs[0], np.broadcast_to(
-                    g[:, :, None, None] / (shape[2] * shape[3]), shape).copy())
+                    g[:, None, None, :] / (shape[1] * shape[2]), shape).copy())
             elif rec.kind == "linear":
-                flat = np.moveaxis(recs[rec.inputs[0]].out, 1, 0)
+                flat = np.moveaxis(recs[rec.inputs[0]].out, -1, 0)
                 accumulate(rec.inputs[0],
-                           np.moveaxis((g @ rec.weight.T).reshape(flat.shape), 0, 1))
+                           np.moveaxis((g @ rec.weight.T).reshape(flat.shape), 0, -1))
         if grads[0] is None:
             grads[0] = np.zeros_like(recs[0].out)
-        return grads[0].transpose(1, 0, 2, 3)
+        return grads[0].transpose(3, 0, 1, 2)

@@ -493,6 +493,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a skeleton or batch too large to allocate
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 def cli_entry() -> None:

@@ -22,11 +22,11 @@ from grad_helpers import grad_check
 
 
 # Naive reference kernels, written independently of the patch-matrix path.
-# They take and return (N, C, H, W); the kernels under test take (C, N, H, W),
+# They take and return (N, C, H, W); the kernels under test take (C, H, W, N),
 # so each call site moves its operands with channel_major.
 
 def channel_major(x):
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
 def conv2d_naive(x, w):
@@ -63,10 +63,10 @@ def test_conv_1x1_identity_kernel():
 
 def test_conv_constant_input_interior():
     c = 3.7
-    x = np.full((2, 1, 6, 6), c)
+    x = np.full((2, 6, 6, 1), c)
     w = np.random.default_rng(1).normal(size=(4, 2, 3, 3))
     out = conv2d(x, w)
-    interior = out[:, 0, 1:-1, 1:-1]
+    interior = out[:, 1:-1, 1:-1, 0]
     expected = c * w.sum(axis=(1, 2, 3))
     assert np.allclose(interior, expected[:, None, None], atol=1e-12)
 
@@ -104,23 +104,45 @@ def test_conv_input_grad_is_adjoint():
 
 def test_avg_pool_constant_input_corners():
     c = 2.5
-    out = avg_pool_3x3(np.full((1, 1, 5, 5), c))
-    assert np.allclose(out[0, 0, 2, 2], c, atol=1e-12)
+    out = avg_pool_3x3(np.full((1, 5, 5, 1), c))
+    assert np.allclose(out[0, 2, 2, 0], c, atol=1e-12)
     assert np.allclose(out[0, 0, 0, 0], 4 * c / 9, atol=1e-12)
 
 
 def test_avg_pool_single_one():
-    x = np.zeros((1, 1, 5, 5))
-    x[0, 0, 2, 2] = 1.0
+    x = np.zeros((1, 5, 5, 1))
+    x[0, 2, 2, 0] = 1.0
     out = avg_pool_3x3(x)
     expected = np.zeros((5, 5))
     expected[1:4, 1:4] = 1 / 9
-    assert np.allclose(out[0, 0], expected, atol=1e-12)
+    assert np.allclose(out[0, :, :, 0], expected, atol=1e-12)
 
 
 def test_avg_pool_matches_naive_oracle():
     x = np.random.default_rng(3).normal(size=(1, 1, 5, 5))
-    assert np.max(np.abs(avg_pool_3x3(x) - avg_pool_naive(x))) <= 1e-12
+    out = avg_pool_3x3(channel_major(x))
+    assert np.max(np.abs(out - channel_major(avg_pool_naive(x)))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 32, 32), (3, 2, 9, 5), (2, 2, 5, 9)])
+def test_avg_pool_matches_naive_oracle_on_large_and_oblong_maps(shape):
+    # Past the 6x6 of the property tests: 32x32 CIFAR-sized maps and H != W both ways.
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    out = avg_pool_3x3(channel_major(x))
+    assert np.max(np.abs(out - channel_major(avg_pool_naive(x)))) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_avg_pool_non_finite_stays_in_its_image(bad):
+    # The band products turn 0 * inf into NaN, but only within the one
+    # (channel, sample) image that holds the bad element.
+    x = channel_major(np.random.default_rng(21).normal(size=(4, 3, 6, 5)))
+    x[1, 2, 3, 2] = bad  # channel 1, row 2, column 3, sample 2
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(avg_pool_3x3(x)).all(axis=(1, 2))  # (C, N)
+    expected = np.ones((3, 4), dtype=bool)
+    expected[1, 2] = False
+    assert np.array_equal(finite, expected)
 
 
 def test_avg_pool_is_self_adjoint():
@@ -195,7 +217,7 @@ def test_conv_matches_naive_oracle_on_random_shapes(shape, cout, k):
     x = draw_map(*shape)
     w = np.random.default_rng(shape[-1] + 1).normal(size=(cout, x.shape[1], k, k))
     out = conv2d(channel_major(x), w)
-    assert out.shape == (cout, x.shape[0]) + x.shape[2:]
+    assert out.shape == (cout,) + x.shape[2:] + (x.shape[0],)
     assert np.max(np.abs(out - channel_major(conv2d_naive(x, w)))) <= 1e-12
 
 
@@ -273,7 +295,7 @@ def test_forward_relu_kills_negative():
     g = CompGraph()
     g.add("relu", 0)
     out = g.forward(np.full((1, 1, 2, 2), -3.0))
-    assert np.array_equal(out, np.zeros((1, 1, 2, 2)))
+    assert np.array_equal(out, np.zeros((1, 2, 2, 1)))
     assert np.array_equal(g.backward_to_input(), np.zeros((1, 1, 2, 2)))
 
 
@@ -288,7 +310,7 @@ def test_forward_composition_matches_kernels():
     rid = g.add("gap", rid)
     g.add("linear", rid, weight=w_lin)
     got = g.forward(x)
-    manual = np.maximum(conv2d(channel_major(x), w_conv), 0.0).mean(axis=(2, 3)).T @ w_lin
+    manual = np.maximum(conv2d(channel_major(x), w_conv), 0.0).mean(axis=(1, 2)).T @ w_lin
     assert np.allclose(got, manual, atol=1e-12)
 
 
@@ -414,5 +436,5 @@ def test_every_feature_map_is_contiguous_channel_major(skeleton):
     assert {rec.kind for rec in graph.records if rec.out.ndim == 4} == {
         "input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
     for out in maps:
-        assert out.flags.c_contiguous and out.shape[1] == n
+        assert out.flags.c_contiguous and out.shape[-1] == n
     assert graph.backward_to_input().shape == x.shape

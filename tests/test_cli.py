@@ -415,6 +415,23 @@ def test_proxy_mode_runs(tmp_path):
     assert 1 <= row["proxy_computed"] <= row["proxy_evals"]
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 74.5 GiB for an array"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # An oversized skeleton (--image-hw 100000) first fails in make_batch; the
+    # stand-in raises at once, so the test allocates nothing large.
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiment_cli, "make_batch", no_memory)
+    out = tmp_path / "out"
+    code = main(["search", "--mode", "proxy", "--C", "6", "--P", "2", "--image-hw", "100000",
+                 "--seeds", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert not out.exists()
+
+
 def test_every_random_stream_of_a_proxy_search_is_distinct(tmp_path, monkeypatch):
     # SeedSequence pads a short key with zeros, so keys such as (s, 3) and
     # (s, 3, 0) seed one stream; compare the states, not the keys.
