@@ -20,16 +20,20 @@ Conventions:
   - the ReLU gradient at exactly 0 is 0.
 
 Kernel forms:
-  - a conv is one GEMM of the (Cout, Cin*k*k) weights with a (Cin*k*k, H*W*N)
-    matrix whose (Cout, H*W*N) product is the output map: the input itself
-    for a 1x1 kernel, its patch matrix, copied in rows W*N long, for 3x3;
+  - a 1x1 conv is one GEMM of the (Cout, Cin) weights with the input as a
+    (Cin, H*W*N) matrix; a 3x3 conv copies its input once into row shifts,
+    (Cin, 3, H+2, W, N) with row j shifted by j-1 along W and one zero row
+    above and below, and sums three GEMMs of the (Cout, Cin*3) weights of
+    kernel row i with the (Cin*3, H*W*N) view of those shifts that starts
+    at row i (a column slice that BLAS reads in place, no copy);
   - the conv input gradient is the forward conv with each kernel flipped
     spatially and Cin/Cout swapped, its adjoint;
   - pooling is two products with tridiagonal bands of ones, (W, W) along W
     and then (H, H)/9 along H; it is symmetric, so it is its own gradient,
     and one non-finite element makes its (channel, sample) image NaN (0*inf);
-  - batch norm centres its input once and squares the centred values for
-    the variance; its statistics reduce one contiguous row per channel.
+  - batch norm centres its input once; its statistics are BLAS reductions
+    of one contiguous row per channel: sums as a product with ones divided
+    by the count, the variance and the projection as row dot products.
 
 Every kernel runs a fixed sequence of numpy operations, so results are
 reproducible bit for bit on a given machine, numpy build and BLAS; another
@@ -59,29 +63,25 @@ class GraphStateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _patches_3x3(x: np.ndarray) -> np.ndarray:
-    """(C, H, W, N) -> patch matrix (C*9, H*W*N), zero padding 1.
-
-    Row c*9 + i*3 + j holds channel c shifted by (i-1, j-1), which matches the
-    (C, 3, 3) order of a flattened weight row.
-    """
-    c, h, w, n = x.shape
-    xp = np.zeros((c, h + 2, w + 2, n))
-    xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((c, 3, 3, h, w, n))
-    for i in range(3):
-        for j in range(3):
-            cols[:, i, j] = xp[:, i : i + h, j : j + w]
-    return cols.reshape(c * 9, h * w * n)
-
-
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """conv2d without the operand checks. The input gradient calls this
     directly, so conv2d itself runs only for forward convolutions."""
     cin, h, wd, n = x.shape
     cout = w.shape[0]
-    cols = x.reshape(cin, -1) if w.shape[2] == 1 else _patches_3x3(x)
-    return (w.reshape(cout, -1) @ cols).reshape(cout, h, wd, n)
+    if w.shape[2] == 1:
+        return (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(cout, h, wd, n)
+    buf = np.empty((cin, 3, h + 2, wd, n))
+    buf[:, :, [0, -1]] = 0.0
+    buf[:, 0, 1:-1, 0] = 0.0
+    buf[:, 0, 1:-1, 1:] = x[:, :, :-1]
+    buf[:, 1, 1:-1] = x
+    buf[:, 2, 1:-1, :-1] = x[:, :, 1:]
+    buf[:, 2, 1:-1, -1] = 0.0
+    rows, wn, hwn = buf.reshape(cin * 3, -1), wd * n, h * wd * n
+    out = w[:, :, 0].reshape(cout, -1) @ rows[:, :hwn]
+    for i in (1, 2):
+        out += w[:, :, i].reshape(cout, -1) @ rows[:, i * wn : i * wn + hwn]
+    return out.reshape(cout, h, wd, n)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -129,23 +129,23 @@ avg_pool_3x3_grad = avg_pool_3x3
 def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
     """Per-channel normalization by batch statistics over (N, H, W); scale 1,
     shift 0. Returns the output and the (xhat, inv_std) backward cache."""
-    axes = (1, 2, 3)
-    xhat = x - x.mean(axis=axes, keepdims=True)
-    var = np.square(xhat).mean(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    c, m = x.shape[0], x[0].size
+    mean = (x.reshape(c, m) @ np.ones(m)) / m
+    xhat = x - mean.reshape(c, 1, 1, 1)
+    centred = xhat.reshape(c, m)
+    inv_std = 1.0 / np.sqrt(np.vecdot(centred, centred) / m + eps).reshape(c, 1, 1, 1)
     xhat *= inv_std
     return xhat, (xhat, inv_std)
 
 
 def batch_norm_input_grad(dout: np.ndarray, cache) -> np.ndarray:
     xhat, inv_std = cache
-    axes = (1, 2, 3)
-    dmean = dout.mean(axis=axes, keepdims=True)
-    proj = dout * xhat
-    dproj = proj.mean(axis=axes, keepdims=True)
-    np.multiply(xhat, dproj, out=proj)
-    dx = dout - dmean
-    dx -= proj
+    c, m = dout.shape[0], dout[0].size
+    rows = dout.reshape(c, m)
+    dmean = (rows @ np.ones(m)) / m
+    dx = xhat * (np.vecdot(rows, xhat.reshape(c, m)) / m).reshape(c, 1, 1, 1)
+    np.subtract(dout, dx, out=dx)
+    dx -= dmean.reshape(c, 1, 1, 1)
     dx *= inv_std
     return dx
 
