@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gea_nas import autodiff_core
 from gea_nas.arch_space import ArchEncoding, Operation
 from gea_nas.autodiff_core import (
     CompGraph,
@@ -114,20 +115,30 @@ def test_conv_input_grad_is_adjoint():
     assert abs(lhs - rhs) <= 1e-10
 
 
+class _NanEmptyNumpy:
+    """numpy, except that empty returns an array filled with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan, *args, **kwargs)
+
+
 # The proxy_cifar map (C=8, 32x32, N=32) and maps one row or one column wide.
 @pytest.mark.parametrize("shape", [(32, 8, 32, 32), (4, 3, 1, 7), (4, 3, 7, 1)])
-def test_conv_and_input_grad_match_naive_oracles_after_a_nan_conv(shape):
-    # The row-shift buffer comes from np.empty. A conv of an all-NaN map just
-    # before each check leaves NaN in memory the next buffer may reuse, so a
-    # border cell the kernel fails to zero shows up as NaN.
+def test_conv_and_input_grad_match_naive_oracles_on_nan_filled_buffers(shape, monkeypatch):
+    # The row-shift buffer comes from np.empty. Here np.empty fills it with NaN,
+    # so a border cell the kernel fails to zero shows up as NaN whatever memory
+    # the allocator hands back.
+    monkeypatch.setattr(autodiff_core, "np", _NanEmptyNumpy())
     rng = np.random.default_rng(sum(shape))
     x = rng.normal(size=shape)
     w = rng.normal(size=(8, shape[1], 3, 3))
     dout = rng.normal(size=(shape[0], 8) + shape[2:])
-    conv2d(np.full(channel_major(x).shape, np.nan), w)
     out = conv2d(channel_major(x), w)
     assert np.max(np.abs(out - channel_major(conv2d_naive(x, w)))) <= 1e-12
-    conv2d_input_grad(np.full(channel_major(dout).shape, np.nan), w)
     dx = conv2d_input_grad(channel_major(dout), w)
     assert np.max(np.abs(dx - channel_major(conv2d_input_grad_naive(dout, w)))) <= 1e-12
 
