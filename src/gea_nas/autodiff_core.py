@@ -114,6 +114,14 @@ def _band(n: int) -> np.ndarray:
     return band
 
 
+@lru_cache(maxsize=32)
+def _ones(m: int) -> np.ndarray:
+    """A read-only vector of m ones, the operand of the BN sums."""
+    ones = np.ones(m)
+    ones.flags.writeable = False
+    return ones
+
+
 def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
     """3x3 window mean of (C, H, W, N), stride 1, zero pad 1, divisor 9: one band
     product sums along W, another along H; a band omits the padded zeros."""
@@ -130,7 +138,7 @@ def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
     """Per-channel normalization by batch statistics over (N, H, W); scale 1,
     shift 0. Returns the output and the (xhat, inv_std) backward cache."""
     c, m = x.shape[0], x[0].size
-    mean = (x.reshape(c, m) @ np.ones(m)) / m
+    mean = (x.reshape(c, m) @ _ones(m)) / m
     xhat = x - mean.reshape(c, 1, 1, 1)
     centred = xhat.reshape(c, m)
     inv_std = 1.0 / np.sqrt(np.vecdot(centred, centred) / m + eps).reshape(c, 1, 1, 1)
@@ -142,7 +150,7 @@ def batch_norm_input_grad(dout: np.ndarray, cache) -> np.ndarray:
     xhat, inv_std = cache
     c, m = dout.shape[0], dout[0].size
     rows = dout.reshape(c, m)
-    dmean = (rows @ np.ones(m)) / m
+    dmean = (rows @ _ones(m)) / m
     dx = xhat * (np.vecdot(rows, xhat.reshape(c, m)) / m).reshape(c, 1, 1, 1)
     np.subtract(dout, dx, out=dx)
     dx -= dmean.reshape(c, 1, 1, 1)

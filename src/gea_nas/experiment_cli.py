@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -53,6 +52,7 @@ from .network_builder import SkeletonConfig
 from .zero_proxy import (
     JacobianProxySource,
     ProxyConfig,
+    _keep_freed_heap,
     make_batch,
     read_batch_file,
 )
@@ -451,32 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("files", nargs="+", help="SearchResult JSON files")
     p_report.add_argument("--out", help="also write the table as CSV")
     return parser
-
-
-# glibc mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap() -> bool:
-    """Ask glibc to keep freed memory mapped in this process.
-
-    By default glibc gives a proxy score's freed feature maps back to the
-    kernel (heap trim, and one mmap per array above its threshold), and the
-    next score page-faults them back in: ~750 minor faults per 8x8 score,
-    about a fifth of a proxy search's wall. A 256 MiB trim threshold and a
-    fixed 32 MiB mmap threshold (glibc's own ceiling for its dynamic one on
-    64-bit) let the next score reuse those pages; either one alone makes a
-    score slower. No arithmetic changes. Only the command calls this, so a
-    library caller keeps its own allocator policy. Returns False, changing
-    nothing, where there is no C library handle or no mallopt (macOS,
-    Windows) or mallopt refuses (musl)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return False
-    return (bool(mallopt(_M_TRIM_THRESHOLD, 256 << 20))
-            and bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)))
 
 
 def main(argv=None) -> int:

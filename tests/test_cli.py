@@ -453,14 +453,13 @@ def test_every_random_stream_of_a_proxy_search_is_distinct(tmp_path, monkeypatch
 # Two identical proxy searches in one process; prints the second one's minor
 # page faults per computed proxy score, or "null" where mallopt is missing.
 FAULTS_CODE = """
-import json, sys
-from gea_nas import experiment_cli
-if not experiment_cli._keep_freed_heap():
-    print("null")
-    sys.exit(0)
-import resource
+import json, resource, sys
+from gea_nas import experiment_cli, zero_proxy
 args = ["search", "--mode", "proxy", "--C", "30", "--seeds", "0"]
 assert experiment_cli.main(args + ["--out", sys.argv[1] + "/a"]) == 0
+if not zero_proxy._keep_freed_heap():
+    print("null")
+    sys.exit(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 assert experiment_cli.main(args + ["--out", sys.argv[1] + "/b"]) == 0
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -486,11 +485,27 @@ def _no_c_library(name):
     raise OSError("no C library")
 
 
+@pytest.fixture
+def uncached_heap_policy():
+    """The allocator policy is set once per process: forget that it was, and
+    forget again afterwards, so that the next call sets it for real."""
+    zero_proxy._keep_freed_heap.cache_clear()
+    yield
+    zero_proxy._keep_freed_heap.cache_clear()
+
+
+def test_main_sets_the_allocator_policy_without_scoring(tmp_path, uncached_heap_policy):
+    # an oracle search never scores; the command sets the policy at start anyway
+    assert main(["search", "--mode", "oracle", "--C", "6", "--P", "2", "--seeds", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert zero_proxy._keep_freed_heap.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
                          ids=["no-mallopt", "no-handle"])
-def test_main_runs_without_mallopt(tmp_path, monkeypatch, cdll):
-    monkeypatch.setattr(experiment_cli.ctypes, "CDLL", cdll)
-    assert experiment_cli._keep_freed_heap() is False
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, uncached_heap_policy, cdll):
+    monkeypatch.setattr(zero_proxy.ctypes, "CDLL", cdll)
+    assert zero_proxy._keep_freed_heap() is False
     out = tmp_path / "out"
     assert main(["search", "--mode", "proxy", "--C", "6", "--P", "2",
                  "--batch-size", "12", "--seeds", "0", "--out", str(out)]) == 0

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gea_nas import zero_proxy
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, random_arch
 from gea_nas.autodiff_core import CompGraph
 from gea_nas.network_builder import SkeletonConfig, build_network
@@ -274,6 +282,67 @@ def test_aggregate_branches():
     assert aggregate([5.0, 5.0, 5.0], 3, config2) == 0.0
 
 
+def _per_block_scores(rows, labels, num_classes, config):
+    """Reference: one correlation matrix and one class_score per class block."""
+    return [class_score(correlation_matrix(block), num_classes, config)
+            for block in split_by_class(rows, labels)]
+
+
+def _tolerance(ref, labels, num_classes, config):
+    """1e-12 relative per class, plus 1e-15 per summed entry: a correlation is
+    exact to a few ulps at best, and log(|sigma| + t) keeps that absolute
+    error, which dominates when every |sigma| is ~1 and every log ~t (D=2, for
+    one). z moves by at most the sum over classes."""
+    entries = np.unique(labels, return_counts=True)[1] ** 2.0
+    per_class = 1e-12 * np.abs(ref) + 1e-15 * (entries if num_classes <= config.tau else 1.0)
+    return per_class.sum()
+
+
+def _score_of_rows(rows, labels, num_classes, config):
+    """score_architecture's z for a network whose Jacobian rows are ``rows``."""
+    skeleton = SkeletonConfig(in_channels=1, image_hw=1, stem_channels=1,
+                              num_classes=num_classes)
+    batch = Batch(images=np.zeros((len(labels), 1, 1, 1)), labels=labels,
+                  num_classes=num_classes)
+    with mock.patch.object(zero_proxy, "compute_jacobian", lambda graph, b: rows):
+        return score_architecture(ALL_NONE, batch, replace(config, skeleton=skeleton)).z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(2, 12),
+       st.integers(2, 8), st.integers(1, 8))
+def test_one_correlation_matrix_scores_like_the_per_block_reference(seed, n, d, num_classes,
+                                                                    tau):
+    # random labels are unsorted and leave some ids absent, others alone
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    labels = rng.integers(0, num_classes, size=n)
+    labels[1] = labels[0]  # a batch needs one class with two samples
+    config = ProxyConfig(tau=tau)
+    ref = _per_block_scores(rows, labels, num_classes, config)
+    z = _score_of_rows(rows, labels, num_classes, config)
+    assert abs(z - aggregate(ref, num_classes, config)) <= _tolerance(
+        ref, labels, num_classes, config)
+
+
+@pytest.mark.parametrize("tau", [1, 100])
+@pytest.mark.parametrize("case", ["random", "constant row", "all zero"])
+def test_score_of_absent_single_and_unsorted_classes(case, tau):
+    rows = np.random.default_rng(22).normal(size=(7, 5))
+    labels = np.array([4, 0, 4, 1, 0, 4, 0])  # 2 and 3 absent, 1 alone
+    if case == "constant row":
+        rows[3] = 2.0  # the lone class-1 sample
+    elif case == "all zero":
+        rows[:] = 0.0
+    config = ProxyConfig(tau=tau)
+    z = _score_of_rows(rows, labels, 5, config)
+    if case != "random":
+        assert z == float("-inf")
+        return
+    ref = _per_block_scores(rows, labels, 5, config)
+    assert abs(z - aggregate(ref, 5, config)) <= _tolerance(ref, labels, 5, config)
+
+
 def test_score_all_none_invalid_ranks_last():
     batch = small_batch()
     bad = score_architecture(ALL_NONE, batch, small_config(), np.random.default_rng(0))
@@ -366,3 +435,68 @@ def test_jacobian_proxy_source_scores_do_not_depend_on_order(a, b, seed):
     a_then_b = [forward.score(first), forward.score(second)]
     b_then_a = [backward.score(second), backward.score(first)]
     assert a_then_b == b_then_a[::-1]
+
+
+# --- allocator policy ------------------------------------------------------
+
+SCORE_CELLS_CODE = """
+import numpy as np
+from gea_nas import zero_proxy
+from gea_nas.arch_space import random_arch
+batch = zero_proxy.make_batch(zero_proxy.ProxyConfig())
+rng = np.random.default_rng(24)
+cells = [random_arch(rng) for _ in range(8)]
+def score_all():
+    return [zero_proxy.score_architecture(arch, batch, rng=np.random.default_rng(i)).z
+            for i, arch in enumerate(cells)]
+"""
+
+# The library path alone, never the command: prints the minor page faults per
+# score of a second pass over the same cells, or "null" where mallopt is missing.
+LIBRARY_FAULTS_CODE = SCORE_CELLS_CODE + """
+import resource
+assert zero_proxy._keep_freed_heap.cache_info().currsize == 0, "the import set a policy"
+score_all()
+if not zero_proxy._keep_freed_heap():
+    print("null")
+    raise SystemExit
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+score_all()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(cells))
+"""
+
+# Scores under glibc's default policy, with mallopt out of reach; prints the z
+# values in hex.
+STUBBED_Z_CODE = """
+import ctypes, sys
+def no_handle(name):
+    raise OSError("no C library")
+ctypes.CDLL = {"no-handle": no_handle, "no-symbol": lambda name: object()}[sys.argv[1]]
+""" + SCORE_CELLS_CODE + """
+zs = score_all()
+assert zero_proxy._keep_freed_heap() is False
+print(" ".join(z.hex() for z in zs))
+"""
+
+
+def _run_python(code, *args):
+    src = str(Path(zero_proxy.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_library_scores_reuse_freed_heap():
+    # with glibc's defaults each score faults its freed feature maps back in
+    line = _run_python(LIBRARY_FAULTS_CODE)
+    if line == "null":
+        pytest.skip("no glibc mallopt in this C library")
+    assert float(line) < 20
+
+
+@pytest.mark.parametrize("stub", ["no-handle", "no-symbol"])
+def test_scores_do_not_depend_on_the_allocator_policy(stub):
+    namespace = {}
+    exec(SCORE_CELLS_CODE, namespace)
+    expected = " ".join(z.hex() for z in namespace["score_all"]())
+    assert _run_python(STUBBED_Z_CODE, stub) == expected
