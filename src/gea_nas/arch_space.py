@@ -23,11 +23,6 @@ class Operation(enum.IntEnum):
     NOR_CONV_3X3 = 3
     AVG_POOL_3X3 = 4
 
-    @property
-    def tag(self) -> str:
-        """Canonical text tag used in cell strings and benchmark exports."""
-        return OP_TAGS[self]
-
 
 OP_TAGS = ("none", "skip_connect", "nor_conv_1x1", "nor_conv_3x3", "avg_pool_3x3")
 _TAG_TO_OP = {tag: Operation(i) for i, tag in enumerate(OP_TAGS)}

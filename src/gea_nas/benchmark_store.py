@@ -286,7 +286,6 @@ class NoisyProxySource:
             if a is None:
                 raise CalibrationError(
                     f"could not reach Spearman {rho} within {self._MAX_ITERS} bisection steps")
-        self.mixing_weight = a
         self.values = mix(a)
         self.empirical_spearman = spearman(a)
         if abs(self.empirical_spearman - rho) > 0.05:

@@ -12,12 +12,12 @@ RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
 ProxyConfig (t, tau, batch_size and the network's SkeletonConfig). Each of
 their fields, bar the nested configs and the seed and dataset every run sets,
 is a command-line flag (its name with dashes, or the "flag" in its metadata)
-and a key of a flat key=value config file; flags override file values and
-num_seeds/seed_base build a seed range. Each config is built once and checks
-its own values before any output is written. All randomness flows from the
-declared seeds, so reruns of the same config reproduce every result byte for
-byte except the "timing" sections and the sweep's proxy_wall_seconds column,
-which hold wall-clock measurements.
+and a key of a flat key=value config file; flags override file values, and a
+seed list may hold inclusive ranges (0-9, 0-4,10). Each config is built once
+and checks its own values before any output is written. All randomness flows
+from the declared seeds, so reruns of the same config reproduce every result
+byte for byte except the "timing" sections and the sweep's proxy_wall_seconds
+column, which hold wall-clock measurements.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from .guided_evolution import (
     run_search,
 )
 from .network_builder import SkeletonConfig
-from .zero_proxy import (
-    JacobianProxySource,
-    ProxyConfig,
-    _keep_freed_heap,
-    make_batch,
-    read_batch_file,
-)
+from .zero_proxy import JacobianProxySource, ProxyConfig, _keep_freed_heap, read_batch_file
 
 METHODS = ("gea", "rea", "rs")
 MODES = ("proxy", "mock", "oracle")
@@ -82,7 +76,7 @@ class RunConfig:
     interaction_scale: float = INTERACTION_SCALE_DEFAULT
     bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench")
     dataset: str | None = None
-    seeds: tuple[int, ...] = _meta((0,), "comma-separated seed list")
+    seeds: tuple[int, ...] = _meta((0,), "comma-separated seeds and ranges, e.g. 0-4,10")
     rho: float | None = _meta(None, "target Spearman for mode=mock")
     batch_file: str | None = _meta(None, "raw batch tensor file")
     out: str | None = _meta(None, "output directory (search) or file (sweep)")
@@ -99,6 +93,8 @@ class RunConfig:
             raise CliError("fitness=bench requires --bench with a JSONL path")
         if self.fitness == "bench" and not self.dataset:
             raise CliError("fitness=bench requires --dataset")
+        if self.fitness != "bench" and (self.bench_path, self.dataset) != (None, None):
+            raise CliError("--bench and --dataset apply only with fitness=bench")
         if self.mode == "mock" and self.rho is None:
             raise CliError("mode=mock requires --rho")
         if self.rho is not None and not 0.0 <= self.rho <= 1.0:
@@ -109,8 +105,8 @@ class RunConfig:
         check_landscape(self.landscape_seed, self.interaction_scale)
         if not self.seeds:
             raise CliError("need at least one seed")
-        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
-            raise CliError(f"seeds must be distinct non-negative integers, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise CliError(f"seeds must be distinct, got {self.seeds}")
         for seed in self.seeds:
             replace(self.evolution, seed=seed)  # EvolutionConfig bounds each seed
 
@@ -134,12 +130,19 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers, e.g. "0,1,2"."""
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"could not parse integer list from {text!r}") from None
+    """Comma-separated integers and inclusive ranges, e.g. "0,1,2" or "0-4,10"."""
+    values: list[int] = []
+    for part in filter(str.strip, text.split(",")):
+        start, _, end = part.rpartition("-")  # start is empty for "7" and "-7"
+        try:
+            first, last = (int(start), int(end)) if start.strip() else (int(part),) * 2
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"could not parse integer list from {text!r}") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"range {part.strip()!r} ends below its start")
+        values.extend(range(first, last + 1))
+    return tuple(values)
 
 
 # Each config whose fields are flags, with the fields that are not: the
@@ -148,9 +151,9 @@ _CONFIGS = ((RunConfig, ("evolution", "proxy")), (EvolutionConfig, ("seed", "dat
             (ProxyConfig, ("skeleton",)), (SkeletonConfig, ()))
 
 
-def _option_table() -> dict[str, tuple[type | None, str, object, bool, dict]]:
+def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
     """Config key -> (owning config, flag, text parser, accepts None, extra
-    argparse kwargs), one entry per flag field plus the seed-range keys."""
+    argparse kwargs), one entry per flag field."""
     table = {}
     for owner, skipped in _CONFIGS:
         hints = get_type_hints(owner)
@@ -163,8 +166,6 @@ def _option_table() -> dict[str, tuple[type | None, str, object, bool, dict]]:
             extra = {k: v for k, v in f.metadata.items() if k != "flag"}
             table[f.name] = (owner, f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                              parse, type(None) in get_args(hint), extra)
-    table["num_seeds"] = (None, "--num-seeds", int, False, {})
-    table["seed_base"] = (None, "--seed-base", int, False, {})
     return table
 
 
@@ -183,29 +184,17 @@ def _coerce(key: str, value, path: str):
         raise CliError(f"{path}: invalid value {value!r} for {key!r}") from None
 
 
-def _with_seed_range(values: dict) -> dict:
-    """Replace num_seeds/seed_base by the seed list they describe, unless an
-    explicit seed list is present."""
-    base, count = values.pop("seed_base", None), values.pop("num_seeds", None)
-    if "seeds" not in values and (base is not None or count is not None):
-        base = base or 0
-        count = 1 if count is None else count
-        values["seeds"] = tuple(range(base, base + count))
-    return values
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults <- config file <- command-line flags, then build each
     config from its own values, so its validator runs before any output."""
-    merged: dict = {}
+    values: dict = {}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
             if key not in _OPTIONS:
                 raise CliError(f"unknown config key {key!r} in {args.config}")
-            merged[key] = _coerce(key, value, args.config)
-    cli_values = {key: getattr(args, key) for key in _OPTIONS
-                  if getattr(args, key, None) is not None}
-    values = {**_with_seed_range(merged), **_with_seed_range(cli_values)}
+            values[key] = _coerce(key, value, args.config)
+    values.update((key, getattr(args, key)) for key in _OPTIONS
+                  if getattr(args, key, None) is not None)
     if getattr(args, "c_values", None):  # a sweep's budgets stand in for C
         values["C"] = min(args.c_values)
 
@@ -240,7 +229,7 @@ def _fitness_source(config: RunConfig):
 def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     """Each seed's proxy source, built once per command and handed to every
     gea run of that seed, so a Jacobian source's memo spans all of them. A
-    --batch-file is read once; without one, each seed draws its own batch."""
+    --batch-file is read once; without one, each seed's source draws its own."""
     file_batch, sources = None, {}
     if config.mode == "proxy" and config.batch_file:
         file_batch = read_batch_file(config.batch_file)
@@ -250,9 +239,7 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
         elif config.mode == "mock":
             sources[seed] = NoisyProxySource(fitness, config.rho, seed)
         else:
-            batch = file_batch or make_batch(
-                config.proxy, np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
-            sources[seed] = JacobianProxySource(batch, config.proxy, seed)
+            sources[seed] = JacobianProxySource(file_batch, config.proxy, seed)
     return sources
 
 

@@ -17,7 +17,7 @@ methods are three shapes of that loop:
 Determinism: every draw comes from a generator seeded by SeedSequence(key).
 The keys, for run seed s and landscape seed l: (s, 0) tournaments, (s, 1, i)
 candidate i, (s, 2 + c, j) child j of cycle c, (s, 0, 1) the synthetic batch
-(experiment_cli), (s, 0, 2, i) the weights that score cell i (zero_proxy),
+and (s, 0, 2, i) the weights that score cell i (zero_proxy),
 (l, 830201) the landscape and (s, 830202) the noisy proxy (benchmark_store).
 SeedSequence pads a key to four words with zeros, so (s, 3) and (s, 3, 0)
 would be one stream, and splits a seed of 2**32 or more into two words, so

@@ -207,7 +207,9 @@ class JacobianProxySource:
     """score_architecture bound to a fixed batch and run seed, shaped for the
     search loop.
 
-    Each cell is scored at one weight initialization, drawn from
+    A batch of None is the seed's synthetic batch, make_batch drawn from
+    SeedSequence((seed, 0, 1)); a batch passed in is kept as it is. Each
+    cell is scored at one weight initialization, drawn from
     SeedSequence((seed, 0, 2, cell index)). A score is then a function of
     (batch, config, seed, cell) alone, so ``scores`` keeps each cell's z by
     index and every later request of that cell, from any run handed this
@@ -215,9 +217,10 @@ class JacobianProxySource:
     different seeds can share one file batch.
     """
 
-    def __init__(self, batch: Batch, config: ProxyConfig | None = None, seed: int = 0):
-        self.batch = batch
+    def __init__(self, batch: Batch | None, config: ProxyConfig | None = None, seed: int = 0):
         self.config = config if config is not None else ProxyConfig()
+        self.batch = batch if batch is not None else make_batch(
+            self.config, np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
         self.seed = seed
         self.scores: dict[int, float] = {}
 

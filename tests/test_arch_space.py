@@ -40,7 +40,6 @@ def test_canonical_op_order():
     assert OP_TAGS == ("none", "skip_connect", "nor_conv_1x1", "nor_conv_3x3",
                        "avg_pool_3x3")
     assert [int(op) for op in Operation] == [0, 1, 2, 3, 4]
-    assert Operation.NOR_CONV_3X3.tag == "nor_conv_3x3"
 
 
 def test_space_constants():

@@ -293,13 +293,18 @@ def test_config_file_with_flag_override(tmp_path):
         assert doc["method"] == "rea"
 
 
-def test_config_file_num_seeds(tmp_path):
+def test_config_file_seed_range(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("method = rs\nC = 5\nnum_seeds = 3\nseed_base = 7\n")
-    out = tmp_path / "out"
-    assert main(["search", "--config", str(cfg), "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.glob("rs_seed*.json")) == \
-        ["rs_seed7.json", "rs_seed8.json", "rs_seed9.json"]
+    cfg.write_text("method = rs\nC = 5\nseeds = 7-9\n")
+    ranged, listed = tmp_path / "ranged", tmp_path / "listed"
+    assert main(["search", "--config", str(cfg), "--out", str(ranged)]) == 0
+    assert main(["search", "--method", "rs", "--C", "5", "--seeds", "7,8,9",
+                 "--out", str(listed)]) == 0
+    names = sorted(p.name for p in ranged.glob("rs_seed*.json"))
+    assert names == ["rs_seed7.json", "rs_seed8.json", "rs_seed9.json"]
+    for name in [*names, "rs_report.json"]:
+        assert strip_timing(json.loads((ranged / name).read_text())) == \
+            strip_timing(json.loads((listed / name).read_text()))
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -343,7 +348,7 @@ def test_every_flag_sets_its_field():
         argv += [flag, as_text(value)]
     assert flag_values(parsed(argv)) == EVERY_FIELD
     # No library field that is not a flag (seed, dataset, skeleton) leaks in.
-    assert set(_OPTIONS) == set(EVERY_FIELD) | {"num_seeds", "seed_base"}
+    assert set(_OPTIONS) == set(EVERY_FIELD)
 
 
 def test_every_config_key_sets_its_field(tmp_path):
@@ -352,10 +357,22 @@ def test_every_config_key_sets_its_field(tmp_path):
     assert flag_values(parsed(["search", "--config", str(cfg)])) == EVERY_FIELD
 
 
-def test_seed_range_flags():
-    assert parsed(["search", "--num-seeds", "2", "--seed-base", "3"]).seeds == (3, 4)
-    assert parsed(["search", "--num-seeds", "2"]).seeds == (0, 1)
-    assert parsed(["search", "--seeds", "8", "--num-seeds", "2"]).seeds == (8,)
+def test_seed_range_flags(tmp_path, capsys):
+    assert parsed(["search", "--seeds", "0-2,7"]).seeds == (0, 1, 2, 7)
+    assert parsed(["search", "--seeds", "4-4"]).seeds == (4,)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds = 3-4\n")
+    assert parsed(["search", "--config", str(cfg)]).seeds == (3, 4)
+    # argparse refuses a reversed range (5-3, 0--3); -3-0 parses, and its
+    # seed -3 fails EvolutionConfig's bound
+    for text in ("5-3", "0--3", "-3-0"):
+        try:
+            code = main(["search", f"--seeds={text}", "--out", str(tmp_path / "o")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
@@ -363,7 +380,9 @@ def test_seed_range_flags():
                                   "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
                                   "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
                                   'mode = "proxy"\nbatch_size = 5\n', "seeds = 0,0\n",
-                                  "seeds = 0,-1\n", "seed_base = -3\n",
+                                  "seeds = 0,-1\n", "seeds = -3-0\n", "seeds = 5-3\n",
+                                  "seeds = 0--3\n", 'dataset = "cifar10"\n',
+                                  'bench_path = "/nonexistent.jsonl"\n',
                                   'mode = "proxy"\nt = NaN\n', 'mode = "proxy"\nt = Infinity\n',
                                   "interaction_scale = Infinity\n", "interaction_scale = NaN\n",
                                   "interaction_scale = -1\n", "seeds = 4294967297\n",
@@ -371,7 +390,9 @@ def test_seed_range_flags():
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
                               "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
-                              "seed-repeated", "seed-negative", "seed-base-negative",
+                              "seed-repeated", "seed-negative", "seed-range-negative",
+                              "seed-range-reversed", "seed-range-double-dash",
+                              "dataset-without-bench-fitness", "bench-without-bench-fitness",
                               "t-nan", "t-inf", "interaction-scale-inf",
                               "interaction-scale-nan", "interaction-scale-negative",
                               "seed-from-2**32", "landscape-seed-from-2**32"])
@@ -417,12 +438,13 @@ def test_proxy_mode_runs(tmp_path):
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 74.5 GiB for an array"])
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
-    # An oversized skeleton (--image-hw 100000) first fails in make_batch; the
-    # stand-in raises at once, so the test allocates nothing large.
+    # An oversized skeleton (--image-hw 100000) first fails in make_batch, which
+    # the proxy source calls; the stand-in raises at once, so the test allocates
+    # nothing large.
     def no_memory(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(experiment_cli, "make_batch", no_memory)
+    monkeypatch.setattr(zero_proxy, "make_batch", no_memory)
     out = tmp_path / "out"
     code = main(["search", "--mode", "proxy", "--C", "6", "--P", "2", "--image-hw", "100000",
                  "--seeds", "0", "--out", str(out)])
@@ -495,7 +517,11 @@ def uncached_heap_policy():
 
 
 def test_main_sets_the_allocator_policy_without_scoring(tmp_path, uncached_heap_policy):
-    # an oracle search never scores; the command sets the policy at start anyway
+    # an oracle search never scores; the command sets the policy at start anyway.
+    # It pays in a proxy search, whose batch draw and first network build then
+    # run under it: without the call, a C=150 proxy search's set-up went 0.388
+    # -> 0.451 s (8 of 8 alternating pairs). A search that never scores gains
+    # no measurable time from it (10 pairs of C=1000 searches).
     assert main(["search", "--mode", "oracle", "--C", "6", "--P", "2", "--seeds", "0",
                  "--out", str(tmp_path / "out")]) == 0
     assert zero_proxy._keep_freed_heap.cache_info().currsize == 1

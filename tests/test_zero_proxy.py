@@ -417,9 +417,17 @@ def test_jacobian_proxy_source_matches_direct_call():
     batch = small_batch(seed=20)
     arch = ArchEncoding.from_index(11111)
     for seed in (0, 21):
-        via_source = JacobianProxySource(batch, small_config(), seed).score(arch)
+        source = JacobianProxySource(batch, small_config(), seed)
+        assert source.batch is batch  # a batch passed in is kept as it is
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2, arch.index)))
-        assert via_source == score_architecture(arch, batch, small_config(), rng).z
+        assert source.score(arch) == score_architecture(arch, batch, small_config(), rng).z
+        # without one, the source draws the seed's synthetic batch from key (seed, 0, 1)
+        drawn = JacobianProxySource(None, small_config(), seed).batch
+        expected = make_batch(small_config(),
+                              np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
+        assert drawn.images.tobytes() == expected.images.tobytes()
+        assert drawn.labels.tobytes() == expected.labels.tobytes()
+        assert drawn.num_classes == expected.num_classes
 
 
 @settings(max_examples=20, deadline=None)
