@@ -8,7 +8,8 @@ copies its (N, C, H, W) batch into that layout once and backward_to_input
 hands the input gradient back as (N, C, H, W); linear is the one kernel that
 puts samples first, flattening to (N, F) for (N, K) logits. Only input
 gradients are needed (networks are scored untrained), so weights are
-constants of the graph and no parameter gradients are kept.
+constants of the graph and no parameter gradients are kept. A graph frees
+each map after its last reader and each gradient once it is used.
 
 Conventions:
   - convolutions are cross-correlations, stride 1, zero padding (k-1)/2,
@@ -189,7 +190,7 @@ _KINDS = ("input", "conv", "bn", "relu", "avg_pool", "sum", "zeros", "gap", "lin
 @dataclass
 class Record:
     """One op in a CompGraph: kind, operand record ids, constant parameters,
-    plus the cached activation and whatever the backward pass needs."""
+    plus the record's map while a reader needs it and what backward reads."""
 
     kind: str
     inputs: tuple[int, ...]
@@ -202,8 +203,11 @@ class CompGraph:
     """Topologically ordered op records; record 0 is the network input and the
     last record holds the logits.
 
-    A graph instance is single-use per forward/backward pair: forward caches
-    the activations that backward consumes. Distinct graphs are independent.
+    Single-use: forward leaves only the logits map and each record's cache,
+    all that backward reads (BN's xhat and inv_std, ReLU's input, the input
+    shape of gap, linear and record 0). Backward drops each gradient once it
+    is used and each cache after its step, so a second backward without a
+    new forward raises GraphStateError. Distinct graphs are independent.
     """
 
     def __init__(self) -> None:
@@ -221,11 +225,15 @@ class CompGraph:
         return len(self.records) - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Execute all records on the (N, C, H, W) batch x in order; returns the
-        logits and caches activations."""
+        """Execute all records on the (N, C, H, W) batch x in order and return the
+        logits, the one map kept: the others go after their last reader."""
         recs = self.records
+        self._forward_done = False
+        last = {i: rid for rid, rec in enumerate(recs) for i in (rid, *rec.inputs)}  # or itself
+        last[len(recs) - 1] = len(recs)  # no record reads the logits; keep them
         recs[0].out = np.ascontiguousarray(np.transpose(x, (1, 2, 3, 0)), dtype=np.float64)
-        for rec in recs[1:]:
+        recs[0].cache = recs[0].out.shape
+        for rid, rec in enumerate(recs[1:], 1):
             srcs = [recs[i].out for i in rec.inputs]
             if rec.kind == "conv":
                 rec.out = conv2d(srcs[0], rec.weight)
@@ -246,9 +254,14 @@ class CompGraph:
             elif rec.kind == "zeros":
                 rec.out = np.zeros_like(srcs[0])
             elif rec.kind == "gap":
+                rec.cache = srcs[0].shape
                 rec.out = global_avg_pool(srcs[0])
             elif rec.kind == "linear":
+                rec.cache = srcs[0].shape
                 rec.out = linear(srcs[0], rec.weight)
+            for i in (rid, *rec.inputs):
+                if last[i] == rid:
+                    recs[i].out = None
         self._forward_done = True
         return recs[-1].out
 
@@ -257,7 +270,8 @@ class CompGraph:
         which packs one Jacobian row per sample into (N, C, H, W).
         """
         if not self._forward_done:
-            raise GraphStateError("backward requested before forward")
+            raise GraphStateError("backward requested without a forward since the last one")
+        self._forward_done = False
         recs = self.records
         grads: list[np.ndarray | None] = [None] * len(recs)
         grads[-1] = np.ones_like(recs[-1].out)
@@ -267,31 +281,25 @@ class CompGraph:
             grads[rid] = g if grads[rid] is None else grads[rid] + g
 
         for rid in range(len(recs) - 1, 0, -1):
-            g = grads[rid]
+            rec, g, cache = recs[rid], grads[rid], recs[rid].cache
+            grads[rid] = rec.cache = None
             if g is None:
                 continue
-            rec = recs[rid]
             if rec.kind == "conv":
                 accumulate(rec.inputs[0], conv2d_input_grad(g, rec.weight))
             elif rec.kind == "bn":
-                accumulate(rec.inputs[0], batch_norm_input_grad(g, rec.cache))
+                accumulate(rec.inputs[0], batch_norm_input_grad(g, cache))
             elif rec.kind == "relu":
-                accumulate(rec.inputs[0], relu_input_grad(g, rec.cache))
+                accumulate(rec.inputs[0], relu_input_grad(g, cache))
             elif rec.kind == "avg_pool":
                 accumulate(rec.inputs[0], avg_pool_3x3_grad(g))
             elif rec.kind == "sum":
                 for i in rec.inputs:
                     accumulate(i, g)
-            elif rec.kind == "zeros":
-                pass
             elif rec.kind == "gap":
-                shape = recs[rec.inputs[0]].out.shape
                 accumulate(rec.inputs[0], np.broadcast_to(
-                    g[:, None, None, :] / (shape[1] * shape[2]), shape).copy())
+                    g[:, None, None, :] / (cache[1] * cache[2]), cache).copy())
             elif rec.kind == "linear":
-                flat = np.moveaxis(recs[rec.inputs[0]].out, -1, 0)
-                accumulate(rec.inputs[0],
-                           np.moveaxis((g @ rec.weight.T).reshape(flat.shape), 0, -1))
-        if grads[0] is None:
-            grads[0] = np.zeros_like(recs[0].out)
-        return grads[0].transpose(3, 0, 1, 2)
+                flat = (g @ rec.weight.T).reshape(cache[-1], *cache[:-1])  # samples first
+                accumulate(rec.inputs[0], np.moveaxis(flat, 0, -1))
+        return (np.zeros(recs[0].cache) if grads[0] is None else grads[0]).transpose(3, 0, 1, 2)

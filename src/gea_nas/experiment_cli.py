@@ -180,8 +180,8 @@ def _coerce(key: str, value, path: str):
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     try:
         return parse(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise CliError(f"{path}: invalid value {value!r} for {key!r}") from None
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(f"{path}: invalid value {value!r} for {key!r}: {exc}") from None
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:

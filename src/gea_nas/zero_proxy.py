@@ -189,9 +189,7 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
                          f"classes does not fit the network's {sk.input_shape} input "
                          f"and {sk.num_classes} classes")
     _keep_freed_heap()
-    # Held until return: freeing its maps mid-score cost a 32x32 score ~70% more page faults.
-    graph = build_network(arch, sk, rng)
-    rows = compute_jacobian(graph, batch)
+    rows = compute_jacobian(build_network(arch, sk, rng), batch)
     sigma = None if rows is None else correlation_matrix(rows)
     if sigma is None:
         return INVALID_SCORE

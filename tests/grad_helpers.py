@@ -1,10 +1,29 @@
-"""Finite-difference checks of CompGraph input gradients, shared by the tests."""
+"""Finite-difference checks of CompGraph input gradients, and a view of the
+maps that forward frees, shared by the tests."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from gea_nas.autodiff_core import CompGraph
+from gea_nas.autodiff_core import CompGraph, Record
+
+
+def forward_maps(graph: CompGraph, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run graph.forward(x); return the logits and every record's map, by record
+    id, as forward stored it (it frees each map after its last reader)."""
+    ids = {id(rec): rid for rid, rec in enumerate(graph.records)}
+    maps: list = [None] * len(graph.records)
+
+    def keep(rec: Record, name: str, value) -> None:
+        if name == "out" and value is not None:
+            maps[ids[id(rec)]] = value
+        object.__setattr__(rec, name, value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Record, "__setattr__", keep)
+        logits = graph.forward(x)
+    return logits, maps
 
 
 def relu_preacts(graph: CompGraph) -> list[np.ndarray]:

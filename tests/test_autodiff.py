@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,9 @@ from gea_nas.autodiff_core import (
     relu_input_grad,
 )
 from gea_nas.network_builder import SkeletonConfig, build_network
+from gea_nas.zero_proxy import ProxyConfig, make_batch, score_architecture
 
-from grad_helpers import grad_check
+from grad_helpers import forward_maps, grad_check
 
 
 # Naive reference kernels, written independently of the row-shift conv path.
@@ -382,6 +385,17 @@ def test_backward_before_forward_raises():
         g.backward_to_input()
 
 
+def test_failed_forward_leaves_nothing_to_differentiate():
+    g = CompGraph()
+    rid = g.add("gap", 0)
+    g.add("linear", rid, weight=np.ones((2, 3)))
+    g.forward(np.ones((2, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        g.forward(np.ones((2, 4, 3, 3)))
+    with pytest.raises(GraphStateError):
+        g.backward_to_input()
+
+
 def test_zeros_record_blocks_gradient():
     g = CompGraph()
     z = g.add("zeros", 0)
@@ -476,10 +490,59 @@ def test_every_feature_map_is_contiguous_channel_major(skeleton):
     graph = build_network(EVERY_OP, skeleton, np.random.default_rng(18))
     n = 5
     x = np.random.default_rng(19).normal(size=(n,) + skeleton.input_shape)
-    assert graph.forward(x).shape == (n, skeleton.num_classes)
-    maps = [rec.out for rec in graph.records if rec.out.ndim == 4]
-    assert {rec.kind for rec in graph.records if rec.out.ndim == 4} == {
+    logits, outs = forward_maps(graph, x)
+    assert logits.shape == (n, skeleton.num_classes)
+    maps = [out for out in outs if out.ndim == 4]
+    assert {rec.kind for rec, out in zip(graph.records, outs) if out.ndim == 4} == {
         "input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
     for out in maps:
         assert out.flags.c_contiguous and out.shape[-1] == n
     assert graph.backward_to_input().shape == x.shape
+
+
+# Nodes 1 and 2 feed nothing: their edges' maps have no reader at all.
+DEAD_NODES = ArchEncoding((Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3, Operation.NONE,
+                           Operation.SKIP_CONNECT, Operation.NONE, Operation.NONE))
+
+
+@pytest.mark.parametrize("arch", [EVERY_OP, DEAD_NODES], ids=["every-op", "dead-nodes"])
+def test_forward_keeps_only_the_logits_map(arch):
+    graph = build_network(arch, SkeletonConfig(), np.random.default_rng(20))
+    logits = graph.forward(np.random.default_rng(21).normal(size=(4, 3, 8, 8)))
+    assert [rid for rid, rec in enumerate(graph.records) if rec.out is not None] == [
+        len(graph.records) - 1]
+    assert graph.records[-1].out is logits
+
+
+def test_backward_drops_every_cache_past_the_input():
+    graph = build_network(EVERY_OP, SkeletonConfig(), np.random.default_rng(22))
+    x = np.random.default_rng(23).normal(size=(4, 3, 8, 8))
+    graph.forward(x)
+    assert graph.backward_to_input().shape == x.shape
+    assert all(rec.cache is None for rec in graph.records[1:])
+
+
+def test_graph_is_spent_after_backward():
+    graph = build_network(EVERY_OP, SkeletonConfig(), np.random.default_rng(24))
+    x = np.random.default_rng(25).normal(size=(4, 3, 8, 8))
+    graph.forward(x)
+    first = graph.backward_to_input()
+    with pytest.raises(GraphStateError):
+        graph.backward_to_input()
+    graph.forward(x)  # a new forward makes the graph usable again
+    assert np.array_equal(graph.backward_to_input(), first)
+
+
+def test_32x32_score_peak_heap_is_bounded():
+    # Holding every map and gradient to the end peaked at ~47 MiB for this
+    # cell; freeing each after its last use peaks at ~14 MiB.
+    config = ProxyConfig(skeleton=SkeletonConfig(image_hw=32))
+    batch = make_batch(config)
+    arch = ArchEncoding((Operation.AVG_POOL_3X3,) * 6)
+    tracemalloc.start()
+    try:
+        assert score_architecture(arch, batch, config).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20

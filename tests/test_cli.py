@@ -375,6 +375,13 @@ def test_seed_range_flags(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# How the error line of a value that its flag's parser rejects ends: with the parser's reason.
+PARSER_REASONS = {
+    'C = "abc"\n': "invalid value 'abc' for 'C': invalid literal for int() with base 10: 'abc'",
+    "seeds = 5-3\n": "invalid value '5-3' for 'seeds': range '5-3' ends below its start",
+}
+
+
 @pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
                                   'mode = "mock"\nrho = "hi"\n', "C = 3\nP = 5\n",
                                   "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
@@ -401,7 +408,10 @@ def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg.write_text(text)
     code = main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert any(line.startswith("error:") for line in capsys.readouterr().err.splitlines())
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors
+    if text in PARSER_REASONS:
+        assert errors[0].endswith(PARSER_REASONS[text])
     assert not (tmp_path / "o").exists()
 
 

@@ -6,6 +6,8 @@ import pytest
 from gea_nas.arch_space import ArchEncoding, Operation, random_arch
 from gea_nas.network_builder import SkeletonConfig, build_network
 
+from grad_helpers import forward_maps
+
 ALL_NONE = ArchEncoding((Operation.NONE,) * 6)
 ALL_SKIP = ArchEncoding((Operation.SKIP_CONNECT,) * 6)
 ALL_3X3 = ArchEncoding((Operation.NOR_CONV_3X3,) * 6)
@@ -54,10 +56,9 @@ def test_all_none_logits_constant_across_inputs():
 def test_all_skip_cell_output_is_4x():
     net = build_network(ALL_SKIP)
     x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
-    net.forward(x)
-    records = net.records
-    stem_out = records[2].out  # input, stem conv, stem bn
-    cell_out = records[records[-4].inputs[0]].out  # head is bn, relu, gap, linear
+    _, maps = forward_maps(net, x)
+    stem_out = maps[2]  # input, stem conv, stem bn
+    cell_out = maps[net.records[-4].inputs[0]]  # head is bn, relu, gap, linear
     assert np.array_equal(cell_out, 4.0 * stem_out)
 
 
