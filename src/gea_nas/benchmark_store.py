@@ -157,30 +157,23 @@ def dump_jsonl(store: TabularStore, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_landscape(seed: int, interaction_scale: float) -> None:
-    """Refuse a landscape seed or interaction scale out of range, naming the
-    knob; the run config checks them too, whatever its fitness source."""
-    if seed < 0:
-        raise ValueError(f"landscape_seed must be a non-negative integer, got {seed}")
-    if seed >= 2**32:
-        raise ValueError(f"landscape_seed must be below 2**32, got {seed}")
-    if not 0 <= interaction_scale < math.inf:
-        raise ValueError(f"interaction_scale must be finite and non-negative, "
-                         f"got {interaction_scale}")
-
-
 class SyntheticLandscape:
     """Seeded fitness over all 15625 cells.
 
-    fitness(arch) = sum of per-edge op utilities + sum of pairwise
-    edge-interaction terms, affinely rescaled to [0, 100]. The interaction
-    terms keep the landscape from being solvable edge by edge, so search
-    strategies actually differ on it. val_acc = test_acc = fitness and the
-    per-arch cost is a flat NOMINAL_TRAIN_SECONDS.
+    fitness(arch) = sum of per-edge op utilities + sum of pairwise edge-interaction
+    terms, affinely rescaled to [0, 100]. The interaction terms keep the landscape
+    from being solvable edge by edge, so search strategies actually differ on it.
+    val_acc = test_acc = fitness, each arch costs a flat NOMINAL_TRAIN_SECONDS, and
+    a seed outside [0, 2**32) or a negative or non-finite scale is a ValueError.
     """
 
     def __init__(self, seed: int, interaction_scale: float = INTERACTION_SCALE_DEFAULT):
-        check_landscape(seed, interaction_scale)
+        if seed < 0:
+            raise ValueError(f"landscape_seed must be a non-negative integer, got {seed}")
+        if seed >= 2**32:
+            raise ValueError(f"landscape_seed must be below 2**32, got {seed}")
+        if not 0 <= interaction_scale < math.inf:
+            raise ValueError(f"interaction_scale must be finite and non-negative, got {interaction_scale}")
         self.seed = seed
         self.interaction_scale = interaction_scale
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830201)))

@@ -11,13 +11,13 @@ Subcommands:
 RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
 ProxyConfig (t, tau, batch_size and the network's SkeletonConfig). Each of
 their fields, bar the nested configs and the seed and dataset every run sets,
-is a command-line flag (its name with dashes, or the "flag" in its metadata)
-and a key of a flat key=value config file; flags override file values, and a
-seed list may hold inclusive ranges (0-9, 0-4,10). Each config is built once
-and checks its own values before any output is written. All randomness flows
-from the declared seeds, so reruns of the same config reproduce every result
-byte for byte except the "timing" sections and the sweep's proxy_wall_seconds
-column, which hold wall-clock measurements.
+is a flag (its name with dashes, or its metadata's "flag") and a key that a
+key=value config file sets once; flags win over the file, and seeds may hold
+ranges (0-9, 0-4,10). A knob set away from its default under a setting that
+does not read it (its "read_with") is an error. Each config and source checks
+its own values before any output is written. All randomness flows from the
+declared seeds, so reruns reproduce every result byte for byte except the
+"timing" sections and the sweep's proxy_wall_seconds column (wall clock).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -37,7 +37,6 @@ from .benchmark_store import (
     NoisyProxySource,
     OracleProxySource,
     SyntheticLandscape,
-    check_landscape,
     finite_number,
     load_jsonl,
 )
@@ -61,54 +60,56 @@ class CliError(Exception):
 
 
 def _meta(default, help=None, **extra):
-    """A RunConfig field with argparse help and extras (choices, flag)."""
+    """A RunConfig field with argparse help and extras: choices, flag, read_with, required."""
     return field(default=default, metadata={"help": help, **extra})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Experiment description; holds the configs of the search and the proxy."""
+    """Experiment description: the search and proxy configs, and what setting reads a knob."""
 
     method: str = _meta("gea", choices=METHODS)
-    mode: str = _meta("oracle", "proxy source for gea", choices=MODES)
+    mode: str = _meta("oracle", "proxy source for gea", choices=MODES, read_with="method=gea")
     fitness: str = _meta("synthetic", choices=FITNESS)
-    landscape_seed: int = 0
-    interaction_scale: float = INTERACTION_SCALE_DEFAULT
-    bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench")
-    dataset: str | None = None
+    landscape_seed: int = _meta(0, read_with="fitness=synthetic")
+    interaction_scale: float = _meta(INTERACTION_SCALE_DEFAULT, read_with="fitness=synthetic")
+    bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench",
+                                   read_with="fitness=bench", required=True)
+    dataset: str | None = _meta(None, read_with="fitness=bench", required=True)
     seeds: tuple[int, ...] = _meta((0,), "comma-separated seeds and ranges, e.g. 0-4,10")
-    rho: float | None = _meta(None, "target Spearman for mode=mock")
-    batch_file: str | None = _meta(None, "raw batch tensor file")
+    rho: float | None = _meta(None, "target Spearman", read_with="mode=mock", required=True)
+    batch_file: str | None = _meta(None, "raw batch tensor file", read_with="mode=proxy")
     out: str | None = _meta(None, "output directory (search) or file (sweep)")
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    proxy: ProxyConfig = field(default_factory=ProxyConfig)
+    proxy: ProxyConfig = field(default_factory=ProxyConfig, metadata={"read_with": "mode=proxy"})
 
     def validate(self) -> None:
-        for f in fields(self):
-            choices = f.metadata.get("choices")
-            if choices and getattr(self, f.name) not in choices:
-                raise CliError(f"{f.name} must be one of {choices}, "
-                               f"got {getattr(self, f.name)!r}")
-        if self.fitness == "bench" and not self.bench_path:
-            raise CliError("fitness=bench requires --bench with a JSONL path")
-        if self.fitness == "bench" and not self.dataset:
-            raise CliError("fitness=bench requires --dataset")
-        if self.fitness != "bench" and (self.bench_path, self.dataset) != (None, None):
-            raise CliError("--bench and --dataset apply only with fitness=bench")
-        if self.mode == "mock" and self.rho is None:
-            raise CliError("mode=mock requires --rho")
-        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
-            raise CliError(f"rho must lie in [0, 1], got {self.rho}")
+        for f in fields(self):  # a setting precedes the fields that it gates
+            value, rule = getattr(self, f.name), f.metadata.get("read_with", "")
+            if value not in f.metadata.get("choices", [value]):
+                raise CliError(f"{f.name} must be one of {f.metadata['choices']}, got {value!r}")
+            setting, _, wanted = rule.partition("=")
+            if rule and getattr(self, setting) != wanted:
+                if unread := _set_keys(f.name, value, getattr(RunConfig(), f.name)):
+                    raise CliError(f"{unread[0]} applies only with {rule}")
+            elif value is None and f.metadata.get("required"):
+                raise CliError(f"{rule} requires {f.name}")
         if self.mode == "mock" and self.fitness != "synthetic":
             raise CliError("mode=mock calibrates against a synthetic landscape; "
                            "use fitness=synthetic")
-        check_landscape(self.landscape_seed, self.interaction_scale)
         if not self.seeds:
             raise CliError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise CliError(f"seeds must be distinct, got {self.seeds}")
         for seed in self.seeds:
             replace(self.evolution, seed=seed)  # EvolutionConfig bounds each seed
+
+
+def _set_keys(name: str, value, default) -> list[str]:
+    """The keys under name whose values differ from default, through nested configs."""
+    if not is_dataclass(value):
+        return [name] if value != default else []
+    return [k for key, v in vars(value).items() for k in _set_keys(key, v, vars(default)[key])]
 
 
 def _parse_config_file(path: str) -> dict:
@@ -122,6 +123,8 @@ def _parse_config_file(path: str) -> dict:
         if not sep:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = key.strip(), value.strip()
+        if key in values:
+            raise CliError(f"{path}:{lineno}: key {key!r} set twice")
         try:
             values[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -163,7 +166,7 @@ def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
             hint = hints[f.name]
             args = [a for a in get_args(hint) if a is not type(None)]
             parse = _int_list if hint == tuple[int, ...] else (args[0] if args else hint)
-            extra = {k: v for k, v in f.metadata.items() if k != "flag"}
+            extra = {k: f.metadata[k] for k in ("help", "choices") if k in f.metadata}
             table[f.name] = (owner, f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                              parse, type(None) in get_args(hint), extra)
     return table
@@ -231,7 +234,9 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     gea run of that seed, so a Jacobian source's memo spans all of them. A
     --batch-file is read once; without one, each seed's source draws its own."""
     file_batch, sources = None, {}
-    if config.mode == "proxy" and config.batch_file:
+    if config.batch_file:
+        if config.proxy.batch_size != ProxyConfig.batch_size:
+            raise CliError("batch_size applies only without batch_file, which fixes N")
         file_batch = read_batch_file(config.batch_file)
     for seed in config.seeds:
         if config.mode == "oracle":
@@ -330,6 +335,8 @@ def cmd_search(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
+    if config.method != RunConfig.method:
+        raise CliError("method applies only with search; a sweep runs gea and rea")
     if len(c_values) < 2 or len(set(c_values)) != len(c_values):
         raise CliError(f"sweep needs at least two C values, all distinct, got {c_values}")
     if not config.out:

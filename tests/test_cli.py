@@ -128,9 +128,10 @@ def test_sweep_rerun_identical_outside_proxy_wall(tmp_path):
 
 
 # A 3x3 single-channel network, so a sweep computes real Jacobian scores fast.
-TINY_SWEEP = ["sweep", "--c-values", "8,12,16", "--P", "3", "--seeds", "0,1",
-              "--in-channels", "1", "--image-hw", "3", "--stem-channels", "2",
+TINY_PROXY = ["--in-channels", "1", "--image-hw", "3", "--stem-channels", "2",
               "--num-classes", "2", "--batch-size", "6"]
+SWEEP = ["sweep", "--c-values", "8,12,16", "--P", "3", "--seeds", "0,1"]
+TINY_SWEEP = SWEEP + TINY_PROXY
 
 
 def test_sweep_computes_each_seed_cell_once(tmp_path, monkeypatch):
@@ -163,8 +164,8 @@ def test_sweep_builds_each_seed_source_once(tmp_path, monkeypatch, mode, source)
             built.append(args[-1])  # the run seed
 
     monkeypatch.setattr(experiment_cli, source, CountingSource)
-    assert main(TINY_SWEEP + ["--mode", mode, "--rho", "0.9",
-                              "--out", str(tmp_path / "s.csv")]) == 0
+    knobs = TINY_PROXY if mode == "proxy" else ["--rho", "0.9"]
+    assert main(SWEEP + knobs + ["--mode", mode, "--out", str(tmp_path / "s.csv")]) == 0
     assert built == [0, 1]
 
 
@@ -315,13 +316,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key 'budget'" in capsys.readouterr().err
 
 
-# One value per flag field of RunConfig and of the configs it holds.
-EVERY_FIELD = {"method": "rea", "mode": "proxy", "fitness": "bench", "landscape_seed": 3,
-               "interaction_scale": 0.25, "bench_path": "b.jsonl", "dataset": "cifar10",
-               "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "rho": 0.5, "t": 0.0001,
-               "tau": 7, "batch_size": 16, "batch_file": "x.bin", "in_channels": 1,
-               "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
-               "num_classes": 5, "out": "o"}
+# Consistent settings, one value per key each, whose union sets every flag
+# field of RunConfig and of the configs it holds.
+EVERY_FIELD = [
+    {"method": "rea", "fitness": "bench", "bench_path": "b.jsonl", "dataset": "cifar10",
+     "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "out": "o"},
+    {"mode": "mock", "landscape_seed": 3, "interaction_scale": 0.25, "rho": 0.5},
+    {"mode": "proxy", "t": 0.0001, "tau": 7, "batch_size": 16, "in_channels": 1,
+     "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
+     "num_classes": 5},
+    {"mode": "proxy", "batch_file": "x.bin"},
+]
 
 
 def as_text(value):
@@ -332,29 +337,31 @@ def parsed(argv):
     return build_run_config(build_parser().parse_args(argv))
 
 
-def flag_values(config):
-    """The EVERY_FIELD keys read from a RunConfig and the configs it holds;
+def flag_values(config, keys):
+    """The given keys read from a RunConfig and the configs it holds;
     RunConfig's own dataset wins over EvolutionConfig's."""
     values = {}
     for obj in (config.proxy.skeleton, config.proxy, config.evolution, config):
         values.update((f.name, getattr(obj, f.name)) for f in fields(obj))
-    return {key: values[key] for key in EVERY_FIELD}
+    return {key: values[key] for key in keys}
 
 
 def test_every_flag_sets_its_field():
-    argv = ["search"]
-    for key, value in EVERY_FIELD.items():
-        flag = "--bench" if key == "bench_path" else "--" + key.replace("_", "-")
-        argv += [flag, as_text(value)]
-    assert flag_values(parsed(argv)) == EVERY_FIELD
+    for setting in EVERY_FIELD:
+        argv = ["search"]
+        for key, value in setting.items():
+            flag = "--bench" if key == "bench_path" else "--" + key.replace("_", "-")
+            argv += [flag, as_text(value)]
+        assert flag_values(parsed(argv), setting) == setting
     # No library field that is not a flag (seed, dataset, skeleton) leaks in.
-    assert set(_OPTIONS) == set(EVERY_FIELD)
+    assert set(_OPTIONS) == set().union(*EVERY_FIELD)
 
 
 def test_every_config_key_sets_its_field(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{key} = {as_text(value)}\n" for key, value in EVERY_FIELD.items()))
-    assert flag_values(parsed(["search", "--config", str(cfg)])) == EVERY_FIELD
+    for setting in EVERY_FIELD:
+        cfg.write_text("".join(f"{key} = {as_text(value)}\n" for key, value in setting.items()))
+        assert flag_values(parsed(["search", "--config", str(cfg)]), setting) == setting
 
 
 def test_seed_range_flags(tmp_path, capsys):
@@ -419,6 +426,64 @@ def test_mock_mode_requires_rho(tmp_path, capsys):
     code = main(["search", "--mode", "mock", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "rho" in capsys.readouterr().err
+
+
+def write_tiny_batch(path, channels=3, hw=8, num_classes=10):
+    rng = np.random.default_rng(0)
+    write_batch_file(path, Batch(images=rng.normal(size=(12, channels, hw, hw)),
+                                 labels=np.arange(12) % num_classes, num_classes=num_classes))
+
+
+# A knob that its run would not read, and the start of the error line naming it.
+UNREAD_KNOBS = {
+    "rea-proxy-batch-file": (["search", "--method", "rea", "--mode", "proxy",
+                              "--batch-file", "/nonexistent.bin"],
+                             "mode applies only with method=gea"),
+    "rea-rho": (["search", "--method", "rea", "--rho", "0.5"], "rho applies only with mode=mock"),
+    "oracle-t": (["search", "--mode", "oracle", "--t", "0.5"], "t applies only with mode=proxy"),
+    "rs-skeleton": (["search", "--method", "rs", "--image-hw", "32", "--tau", "3"],
+                    "tau applies only with mode=proxy"),
+    "rs-skeleton-only": (["search", "--method", "rs", "--image-hw", "32"],
+                         "image_hw applies only with mode=proxy"),
+    "oracle-batch-file": (["search", "--batch-file", "/nonexistent.bin"],
+                          "batch_file applies only with mode=proxy"),
+    "config-key-twice": (["search", "--config", "{dir}/run.cfg"],
+                         "{dir}/run.cfg:2: key 'C' set twice"),
+    "batch-size-with-batch-file": (["search", "--mode", "proxy", "--batch-file", "{dir}/b.bin",
+                                    "--batch-size", "500", "--C", "4", "--P", "2"],
+                                   "batch_size applies only without batch_file"),
+    "sweep-method": (["sweep", "--method", "rs", "--c-values", "6,8"],
+                     "method applies only with search"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_KNOBS)
+def test_unread_knob_is_one_error_line(tmp_path, capsys, case):
+    (tmp_path / "run.cfg").write_text("C = 5\nC = 8\nP = 2\nmethod = rs\n")
+    write_tiny_batch(tmp_path / "b.bin")
+    argv, message = UNREAD_KNOBS[case]
+    out = tmp_path / "o"
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: " + message.replace("{dir}", str(tmp_path)))
+    assert captured.out == "" and not out.exists()
+
+
+def test_knobs_read_or_at_default_are_accepted(tmp_path, bench_path):
+    out = tmp_path / "o"
+    assert main(["search", "--method", "rea", "--mode", "oracle", "--C", "6",
+                 "--out", str(out / "rea")]) == 0
+    assert main(["search", "--method", "rs", "--fitness", "bench", "--bench", bench_path,
+                 "--dataset", "cifar10", "--landscape-seed", "0", "--C", "6",
+                 "--out", str(out / "bench")]) == 0
+    write_tiny_batch(tmp_path / "b.bin", channels=1, hw=4, num_classes=3)
+    assert main(["search", "--mode", "proxy", "--batch-file", str(tmp_path / "b.bin"),
+                 "--in-channels", "1", "--image-hw", "4", "--stem-channels", "2",
+                 "--num-classes", "3", "--t", "0.0001", "--C", "4", "--P", "2",
+                 "--out", str(out / "proxy")]) == 0
+    assert (out / "proxy" / "gea_seed0.json").exists()
 
 
 def test_mock_mode_runs(tmp_path):
