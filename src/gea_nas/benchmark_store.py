@@ -27,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .arch_space import NUM_EDGES, NUM_OPS, SPACE_SIZE, ArchEncoding, CellParseError, op_index_table, parse_str
+from .arch_space import NUM_EDGES, NUM_OPS, SPACE_SIZE, ArchEncoding, op_index_table, parse_str
 
 NOMINAL_TRAIN_SECONDS = 100.0
 INTERACTION_SCALE_DEFAULT = 0.4
@@ -89,9 +89,6 @@ class TabularStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def records(self) -> list[BenchRecord]:
-        return list(self._records.values())
-
     def lookup(self, arch: ArchEncoding, dataset: str) -> BenchRecord:
         try:
             return self._records[arch.index, dataset]
@@ -132,7 +129,7 @@ def load_jsonl(path: str | Path) -> TabularStore:
             try:
                 rec = BenchRecord(obj["arch"], obj["dataset"],
                                   *(finite_number(name, obj[name]) for name in _NUMBER_FIELDS))
-            except (CellParseError, ValueError, TypeError, OverflowError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise JsonlFormatError(f"line {lineno}: {exc}") from None
             key = (rec.index, rec.dataset)
             if key in seen:
@@ -141,15 +138,6 @@ def load_jsonl(path: str | Path) -> TabularStore:
             seen.add(key)
             records.append(rec)
     return TabularStore(records)
-
-
-def dump_jsonl(store: TabularStore, path: str | Path) -> None:
-    """Write the store back out in the load_jsonl schema (round-trip safe)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in store.records():
-            fh.write(json.dumps({"arch": rec.arch, "dataset": rec.dataset,
-                                 "val_acc": rec.val_acc, "test_acc": rec.test_acc,
-                                 "train_seconds": rec.train_seconds}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +162,6 @@ class SyntheticLandscape:
             raise ValueError(f"landscape_seed must be below 2**32, got {seed}")
         if not 0 <= interaction_scale < math.inf:
             raise ValueError(f"interaction_scale must be finite and non-negative, got {interaction_scale}")
-        self.seed = seed
-        self.interaction_scale = interaction_scale
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830201)))
         utilities = rng.normal(0.0, 1.0, size=(NUM_EDGES, NUM_OPS))
         pairs = [(i, j) for i in range(NUM_EDGES) for j in range(i + 1, NUM_EDGES)]
@@ -187,8 +173,6 @@ class SyntheticLandscape:
             raw = raw + interactions[p, table[:, i], table[:, j]]
         lo, hi = raw.min(), raw.max()
         self.fitness = (raw - lo) / (hi - lo) * 100.0
-        self.optimum_index = int(self.fitness.argmax())
-        self.optimum_fitness = float(self.fitness[self.optimum_index])
 
     def fitness_of(self, arch: ArchEncoding) -> float:
         return float(self.fitness[arch.index])
@@ -245,7 +229,6 @@ class NoisyProxySource:
     def __init__(self, landscape: SyntheticLandscape, rho: float, seed: int):
         if not 0.0 <= rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
-        self.rho = rho
         ranks = _average_ranks(landscape.fitness)
         quantile = NormalDist().inv_cdf
         signal = np.array([quantile(q) for q in (ranks / (SPACE_SIZE + 1)).tolist()])

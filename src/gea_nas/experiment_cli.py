@@ -199,6 +199,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     values.update((key, getattr(args, key)) for key in _OPTIONS
                   if getattr(args, key, None) is not None)
     if getattr(args, "c_values", None):  # a sweep's budgets stand in for C
+        if "C" in values:
+            raise CliError("C applies only with search; a sweep takes its budgets from --c-values")
         values["C"] = min(args.c_values)
 
     def own(owner) -> dict:
@@ -237,7 +239,10 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     if config.batch_file:
         if config.proxy.batch_size != ProxyConfig.batch_size:
             raise CliError("batch_size applies only without batch_file, which fixes N")
-        file_batch = read_batch_file(config.batch_file)
+        try:
+            file_batch = read_batch_file(config.batch_file)
+        except ValueError as exc:  # the layout's checks and Batch's own
+            raise CliError(f"{config.batch_file}: {exc}") from None
     for seed in config.seeds:
         if config.mode == "oracle":
             sources[seed] = OracleProxySource(fitness, dataset)

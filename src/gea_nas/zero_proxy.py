@@ -274,11 +274,3 @@ def read_batch_file(path: str | Path) -> Batch:
     return Batch(images=images.astype(np.float64).reshape(n, c, h, w),
                  labels=labels.astype(np.int64), num_classes=k)
 
-
-def write_batch_file(path: str | Path, batch: Batch) -> None:
-    """Inverse of read_batch_file; images are stored as float32."""
-    n, c, h, w = batch.images.shape
-    payload = [_HEADER.pack(n, c, h, w, batch.num_classes),
-               np.ascontiguousarray(batch.images, dtype="<f4").tobytes(),
-               np.ascontiguousarray(batch.labels, dtype="<i4").tobytes()]
-    Path(path).write_bytes(b"".join(payload))

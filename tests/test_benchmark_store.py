@@ -25,9 +25,10 @@ from gea_nas.benchmark_store import (
     SyntheticLandscape,
     TabularStore,
     _average_ranks,
-    dump_jsonl,
     load_jsonl,
 )
+
+from format_writers import dump_jsonl
 
 ALL_NONE_STR = "|none~0|+|none~0|none~1|+|none~0|none~1|none~2|"
 EXAMPLE_LINE = json.dumps({"arch": ALL_NONE_STR, "dataset": "cifar10",
@@ -185,11 +186,12 @@ def test_dump_load_roundtrip(tmp_path):
                            test_acc=float((i * 7) % 100), train_seconds=float(i))
                for i in (0, 5, 4242, 15624)]
     assert [r.index for r in records] == [0, 5, 4242, 15624]
-    store = TabularStore(records)
     path = tmp_path / "roundtrip.jsonl"
-    dump_jsonl(store, path)
+    dump_jsonl(records, path)
     reloaded = load_jsonl(path)
-    assert sorted(map(str, reloaded.records())) == sorted(map(str, store.records()))
+    assert len(reloaded) == len(records)
+    for rec in records:
+        assert reloaded.lookup(ArchEncoding.from_index(rec.index), rec.dataset) == rec
 
 
 def test_completeness_flag(tmp_path):
@@ -214,8 +216,8 @@ def test_landscape_deterministic_and_bounded():
 def test_landscape_optimum_by_enumeration():
     land = SyntheticLandscape(5)
     best_by_scan = max(enumerate_all(), key=land.fitness_of)
-    assert best_by_scan.index == land.optimum_index
-    assert land.fitness_of(best_by_scan) == land.optimum_fitness == 100.0
+    assert best_by_scan.index == land.fitness.argmax()
+    assert land.fitness_of(best_by_scan) == land.fitness.max() == 100.0
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
@@ -306,7 +308,7 @@ def test_proxy_score_interface():
 
 PROXY_SEARCH_CODE = """
 import sys
-from gea_nas import SyntheticLandscape
+from gea_nas.benchmark_store import SyntheticLandscape
 from gea_nas.experiment_cli import main
 SyntheticLandscape(0)
 code = main(["search", "--mode", "proxy", "--C", "6", "--P", "2", "--batch-size", "12",
@@ -324,16 +326,28 @@ assert code == 0, code
 """
 
 
+# The package binds no names of its own and so loads none of its modules.
+PACKAGE_CODE = """
+import sys
+import gea_nas
+print(sorted(m for m in sys.modules if m.startswith("gea_nas.")),
+      sorted(n for n in vars(gea_nas) if not (n.startswith("__") and n.endswith("__"))))
+"""
+
+
 def test_package_import_leaves_scipy_stats_unloaded(tmp_path):
     # the library needs numpy alone; scipy is a test dependency only
     src = str(Path(gea_nas.__file__).resolve().parents[1])
-    for code in ("import gea_nas", PROXY_SEARCH_CODE, MOCK_SEARCH_CODE):
+    outputs = []
+    for code in (PACKAGE_CODE, PROXY_SEARCH_CODE, MOCK_SEARCH_CODE):
         code += ("\nimport sys; print(sorted(m for m in sys.modules"
                  " if m == 'scipy' or m.startswith('scipy.')))")
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                              capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+        outputs.append(out.stdout.strip().splitlines())
+        assert outputs[-1][-1] == "[]"
+    assert outputs[0][-2] == "[] []"
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -371,11 +385,10 @@ def test_loop_and_table_sources_import_only_arch_space():
 
 def test_every_imported_name_is_used():
     """Each name a module of the package or of the tests imports is read in
-    that module; the package's __init__ imports only to re-export."""
+    that module."""
     root = Path(__file__).resolve().parents[1]
-    paths = [p for p in (root / "src" / "gea_nas").glob("*.py") if p.name != "__init__.py"]
     unused = []
-    for path in sorted(paths + list((root / "tests").glob("*.py"))):
+    for path in sorted([*(root / "src" / "gea_nas").glob("*.py"), *(root / "tests").glob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):

@@ -12,20 +12,16 @@ import pytest
 import gea_nas
 from gea_nas import experiment_cli, zero_proxy
 from gea_nas.arch_space import encode_str, enumerate_all, parse_str
-from gea_nas.benchmark_store import (
-    BenchRecord,
-    SyntheticLandscape,
-    TabularStore,
-    dump_jsonl,
-)
+from gea_nas.benchmark_store import BenchRecord, SyntheticLandscape
 from gea_nas.experiment_cli import _OPTIONS, build_parser, build_run_config, main, mean_std
 from gea_nas.zero_proxy import (
     Batch,
     JacobianProxySource,
     ProxyConfig,
     read_batch_file,
-    write_batch_file,
 )
+
+from format_writers import dump_jsonl, write_batch_file
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +34,7 @@ def bench_path(tmp_path_factory):
                            train_seconds=100.0)
                for a in enumerate_all()]
     path = tmp_path_factory.mktemp("bench") / "cifar10.jsonl"
-    dump_jsonl(TabularStore(records), path)
+    dump_jsonl(records, path)
     return str(path)
 
 
@@ -182,7 +178,7 @@ def test_sweep_budgets_stand_in_for_c(tmp_path, capsys):
     assert main(["sweep", "--c-values", "3,10", "--P", "5", "--out", str(out)]) == 2
     assert "P <= C" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["sweep", "--c-values", "8,9", "--C", "2", "--P", "6", "--out", str(out)]) == 0
+    assert main(["sweep", "--c-values", "8,9", "--C", "2", "--P", "6", "--out", str(out)]) == 2
 
 
 def test_report_formats_mean_and_std(tmp_path, capsys):
@@ -454,12 +450,17 @@ UNREAD_KNOBS = {
                                    "batch_size applies only without batch_file"),
     "sweep-method": (["sweep", "--method", "rs", "--c-values", "6,8"],
                      "method applies only with search"),
+    "sweep-C": (["sweep", "--C", "2", "--c-values", "8,9", "--P", "2"],
+                "C applies only with search; a sweep takes its budgets from --c-values"),
+    "sweep-C-config": (["sweep", "--config", "{dir}/sweep.cfg", "--c-values", "8,9"],
+                       "C applies only with search"),
 }
 
 
 @pytest.mark.parametrize("case", UNREAD_KNOBS)
 def test_unread_knob_is_one_error_line(tmp_path, capsys, case):
     (tmp_path / "run.cfg").write_text("C = 5\nC = 8\nP = 2\nmethod = rs\n")
+    (tmp_path / "sweep.cfg").write_text("C = 2\nP = 2\n")
     write_tiny_batch(tmp_path / "b.bin")
     argv, message = UNREAD_KNOBS[case]
     out = tmp_path / "o"
@@ -675,7 +676,7 @@ def test_batch_file_with_a_nan_pixel_is_an_error(tmp_path, capsys):
     code = main(["search", "--mode", "proxy", "--C", "4", "--P", "2",
                  "--batch-file", str(batch_file), "--seeds", "0", "--out", str(out)])
     assert code == 2
-    assert any(line.startswith("error:") and "finite" in line
+    assert any(line.startswith(f"error: {batch_file}: ") and "finite" in line
                for line in capsys.readouterr().err.splitlines())
     assert not out.exists()
 
@@ -698,7 +699,7 @@ def test_seeds_sharing_a_file_batch_score_a_cell_differently(tmp_path):
         assert z[0] != z[1]
 
 
-@pytest.mark.parametrize("command", [["search", "--seeds", "0,1,2"],
+@pytest.mark.parametrize("command", [["search", "--C", "4", "--seeds", "0,1,2"],
                                      ["sweep", "--c-values", "4,5", "--seeds", "0,1,2"]])
 def test_batch_file_is_read_once_per_command(tmp_path, monkeypatch, command):
     rng = np.random.default_rng(0)
@@ -713,7 +714,7 @@ def test_batch_file_is_read_once_per_command(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(experiment_cli, "read_batch_file", counting_read)
     out = tmp_path / ("out" if command[0] == "search" else "sweep.csv")
-    assert main(command + ["--mode", "proxy", "--C", "4", "--P", "2",
+    assert main(command + ["--mode", "proxy", "--P", "2",
                            "--batch-file", str(batch_file), "--out", str(out)]) == 0
     assert calls == [str(batch_file)]
 

@@ -28,9 +28,9 @@ from gea_nas.zero_proxy import (
     read_batch_file,
     score_architecture,
     split_by_class,
-    write_batch_file,
 )
 
+from format_writers import write_batch_file
 from grad_helpers import relu_preacts
 
 ALL_NONE = ArchEncoding((Operation.NONE,) * 6)
