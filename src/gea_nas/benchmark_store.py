@@ -30,7 +30,7 @@ import numpy as np
 from .arch_space import NUM_EDGES, NUM_OPS, SPACE_SIZE, ArchEncoding, op_index_table, parse_str
 
 NOMINAL_TRAIN_SECONDS = 100.0
-INTERACTION_SCALE_DEFAULT = 0.4
+_INTERACTION_SCALE = 0.4  # std of a landscape's pairwise terms; its edge utilities have std 1
 
 _RECORD_FIELDS = ("arch", "dataset", "val_acc", "test_acc", "train_seconds")
 _NUMBER_FIELDS = ("val_acc", "test_acc", "train_seconds")
@@ -152,20 +152,18 @@ class SyntheticLandscape:
     terms, affinely rescaled to [0, 100]. The interaction terms keep the landscape
     from being solvable edge by edge, so search strategies actually differ on it.
     val_acc = test_acc = fitness, each arch costs a flat NOMINAL_TRAIN_SECONDS, and
-    a seed outside [0, 2**32) or a negative or non-finite scale is a ValueError.
+    a seed outside [0, 2**32) is a ValueError.
     """
 
-    def __init__(self, seed: int, interaction_scale: float = INTERACTION_SCALE_DEFAULT):
+    def __init__(self, seed: int):
         if seed < 0:
             raise ValueError(f"landscape_seed must be a non-negative integer, got {seed}")
         if seed >= 2**32:
             raise ValueError(f"landscape_seed must be below 2**32, got {seed}")
-        if not 0 <= interaction_scale < math.inf:
-            raise ValueError(f"interaction_scale must be finite and non-negative, got {interaction_scale}")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 830201)))
         utilities = rng.normal(0.0, 1.0, size=(NUM_EDGES, NUM_OPS))
         pairs = [(i, j) for i in range(NUM_EDGES) for j in range(i + 1, NUM_EDGES)]
-        interactions = rng.normal(0.0, interaction_scale, size=(len(pairs), NUM_OPS, NUM_OPS))
+        interactions = rng.normal(0.0, _INTERACTION_SCALE, size=(len(pairs), NUM_OPS, NUM_OPS))
 
         table = op_index_table()  # (SPACE_SIZE, NUM_EDGES)
         raw = utilities[np.arange(NUM_EDGES), table].sum(axis=1)

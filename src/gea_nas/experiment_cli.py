@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands:
-  search  run one method (gea | rea | rs) for several seeds; write one
-          SearchResult JSON per seed plus an aggregate report.
+  search  run one method (gea | rea | rs) for several seeds; write each
+          seed's SearchResult JSON as its search ends, then an aggregate report.
   sweep   run gea and rea across a list of C budgets and all seeds; write
           a CSV of per-run bests for plotting budget curves.
   report  aggregate per-seed SearchResult JSONs into a mean +/- std table,
@@ -33,7 +33,6 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .benchmark_store import (
-    INTERACTION_SCALE_DEFAULT,
     NoisyProxySource,
     OracleProxySource,
     SyntheticLandscape,
@@ -72,7 +71,6 @@ class RunConfig:
     mode: str = _meta("oracle", "proxy source for gea", choices=MODES, read_with="method=gea")
     fitness: str = _meta("synthetic", choices=FITNESS)
     landscape_seed: int = _meta(0, read_with="fitness=synthetic")
-    interaction_scale: float = _meta(INTERACTION_SCALE_DEFAULT, read_with="fitness=synthetic")
     bench_path: str | None = _meta(None, "benchmark JSONL export", flag="--bench",
                                    read_with="fitness=bench", required=True)
     dataset: str | None = _meta(None, read_with="fitness=bench", required=True)
@@ -221,8 +219,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 def _fitness_source(config: RunConfig):
     """Returns (source, dataset name) for the requested fitness backend."""
     if config.fitness == "synthetic":
-        return SyntheticLandscape(config.landscape_seed, config.interaction_scale), "synthetic"
-    store = load_jsonl(config.bench_path)
+        return SyntheticLandscape(config.landscape_seed), "synthetic"
+    try:
+        store = load_jsonl(config.bench_path)
+    except ValueError as exc:  # JsonlFormatError or bad UTF-8; neither names the file
+        raise CliError(f"{config.bench_path}: {exc}") from None
     if config.dataset not in store.datasets:
         raise CliError(f"dataset {config.dataset!r} not present in {config.bench_path}")
     if not store.complete.get(config.dataset, False):
@@ -253,14 +254,19 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     return sources
 
 
-def _run_one(config: RunConfig, fitness, dataset: str, seed: int,
-             method: str, C: int, proxy) -> SearchResult:
-    evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
-    if method == "gea":
-        return run_search(evo, proxy, fitness)
-    if method == "rea":
-        return run_rea_baseline(evo, fitness)
-    return run_random_baseline(evo, fitness)
+def _searches(config: RunConfig, c_values: tuple[int, ...], methods: tuple[str, ...]):
+    """Each (C, seed, method) search of a command, in that order, with its
+    seed's proxy source (None without gea). Every source is built before the
+    first search, so bad inputs fail before any output."""
+    fitness, dataset = _fitness_source(config)
+    proxies = _proxy_sources(config, fitness, dataset) if "gea" in methods else {}
+    for C in c_values:
+        for seed in config.seeds:
+            evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
+            for method in methods:  # runner names resolve per call, so wrappers see them
+                yield (run_search(evo, proxies[seed], fitness) if method == "gea" else
+                       run_rea_baseline(evo, fitness) if method == "rea" else
+                       run_random_baseline(evo, fitness)), proxies.get(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +281,24 @@ def mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-def aggregate_report(method: str, dataset: str, results: list[SearchResult],
-                     proxies: dict) -> dict:
-    # a seed's proxy_computed: the Jacobian scores its source computed
-    computed = {seed: len(p.scores) for seed, p in proxies.items()
-                if isinstance(p, JacobianProxySource)}
+def aggregate_report(runs: list[tuple[SearchResult, object]]) -> dict:
+    """Mean and std over one method's (result, proxy source) runs; a seed's
+    proxy_computed counts the Jacobian scores that its source computed."""
+    results = [r for r, _ in runs]
     val_mean, val_std = mean_std([r.best.fitness for r in results])
     test_mean, test_std = mean_std([r.best.test_acc for r in results])
     train_mean, _ = mean_std([r.train_seconds_total for r in results])
     sim_mean, _ = mean_std([r.sim_time_seconds for r in results])
     return {
-        "method": method,
-        "dataset": dataset,
+        "method": results[0].method,
+        "dataset": results[0].config.dataset,
         "num_seeds": len(results),
         "per_seed": [{"seed": r.config.seed, "val_acc": r.best.fitness,
                       "test_acc": r.best.test_acc, "arch": str(r.best.arch),
                       "fitness_evals": r.num_fitness_evals,
                       "proxy_evals": r.num_proxy_evals,
-                      "proxy_computed": computed.get(r.config.seed, 0)} for r in results],
+                      "proxy_computed": len(p.scores) if isinstance(p, JacobianProxySource)
+                      else 0} for r, p in runs],
         "val_acc": {"mean": val_mean, "std": val_std},
         "test_acc": {"mean": test_mean, "std": test_std},
         "train_seconds_total": {"mean": train_mean},
@@ -324,18 +330,13 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_search(config: RunConfig) -> int:
     if not config.out:
         raise CliError("search requires --out DIR for result files")
-    out_dir = Path(config.out)
-    fitness, dataset = _fitness_source(config)
-    proxies = _proxy_sources(config, fitness, dataset) if config.method == "gea" else {}
-    results = []
-    for seed in config.seeds:
-        result = _run_one(config, fitness, dataset, seed, config.method,
-                          config.evolution.C, proxies.get(seed))
-        results.append(result)
-        _write_json(out_dir / f"{config.method}_seed{seed}.json", result.to_json_dict())
-    _write_json(out_dir / f"{config.method}_report.json",
-                aggregate_report(config.method, dataset, results, proxies))
-    print(f"wrote {len(results)} result files and {config.method}_report.json to {out_dir}")
+    out_dir, runs = Path(config.out), []
+    for result, proxy in _searches(config, (config.evolution.C,), (config.method,)):
+        runs.append((result, proxy))  # each seed's file is written as its search ends
+        _write_json(out_dir / f"{config.method}_seed{result.config.seed}.json",
+                    result.to_json_dict())
+    _write_json(out_dir / f"{config.method}_report.json", aggregate_report(runs))
+    print(f"wrote {len(runs)} result files and {config.method}_report.json to {out_dir}")
     return 0
 
 
@@ -346,15 +347,9 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
         raise CliError(f"sweep needs at least two C values, all distinct, got {c_values}")
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
-    fitness, dataset = _fitness_source(config)
-    proxies = _proxy_sources(config, fitness, dataset)
-    rows = []
-    for c in c_values:
-        for seed in config.seeds:
-            for method in ("gea", "rea"):
-                r = _run_one(config, fitness, dataset, seed, method, c, proxies[seed])
-                rows.append([method, c, seed, r.best.fitness, r.best.test_acc,
-                             r.train_seconds_total, r.proxy_wall_seconds])
+    rows = [[r.method, r.config.C, r.config.seed, r.best.fitness, r.best.test_acc,
+             r.train_seconds_total, r.proxy_wall_seconds]
+            for r, _ in _searches(config, c_values, ("gea", "rea"))]
     out_path = Path(config.out)
     _write_csv(out_path, [["method", "C", "seed", "val_acc", "test_acc", "train_seconds",
                            "proxy_wall_seconds"], *rows])

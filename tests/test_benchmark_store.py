@@ -119,10 +119,26 @@ def test_non_string_arch_rejected(tmp_path):
 
 
 def test_accuracy_out_of_range_rejected(tmp_path):
-    bad = json.loads(EXAMPLE_LINE)
-    bad["val_acc"] = 101.5
-    with pytest.raises(JsonlFormatError, match="line 1.*val_acc"):
-        load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
+    for field, value, message in [("val_acc", 101.5, "val_acc out of [0, 100]: 101.5"),
+                                  ("test_acc", 101, "test_acc out of [0, 100]: 101.0"),
+                                  ("train_seconds", -1,
+                                   "train_seconds must be non-negative: -1.0")]:
+        bad = json.loads(EXAMPLE_LINE)
+        bad[field] = value
+        with pytest.raises(JsonlFormatError) as excinfo:
+            load_jsonl(write_lines(tmp_path, [json.dumps(bad)]))
+        assert str(excinfo.value) == "line 1: " + message
+
+
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    other = json.loads(EXAMPLE_LINE)
+    other["dataset"] = "cifar100"
+    path = write_lines(tmp_path, [EXAMPLE_LINE, "", "  ", json.dumps(other)])
+    store = load_jsonl(path)
+    assert len(store) == 2 and store.datasets == {"cifar10", "cifar100"}
+    path = write_lines(tmp_path, [EXAMPLE_LINE, "", "{"])
+    with pytest.raises(JsonlFormatError, match=r"^line 3: malformed JSON"):
+        load_jsonl(path)
 
 
 # (field, JSON token, what the field must be); the number fields also refuse
@@ -218,12 +234,6 @@ def test_landscape_optimum_by_enumeration():
     best_by_scan = max(enumerate_all(), key=land.fitness_of)
     assert best_by_scan.index == land.fitness.argmax()
     assert land.fitness_of(best_by_scan) == land.fitness.max() == 100.0
-
-
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
-def test_landscape_rejects_bad_interaction_scale(scale):
-    with pytest.raises(ValueError, match="interaction_scale must be finite and non-negative"):
-        SyntheticLandscape(0, interaction_scale=scale)
 
 
 def test_landscape_rejects_negative_seed():

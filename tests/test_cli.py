@@ -317,7 +317,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 EVERY_FIELD = [
     {"method": "rea", "fitness": "bench", "bench_path": "b.jsonl", "dataset": "cifar10",
      "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "out": "o"},
-    {"mode": "mock", "landscape_seed": 3, "interaction_scale": 0.25, "rho": 0.5},
+    {"mode": "mock", "landscape_seed": 3, "rho": 0.5},
     {"mode": "proxy", "t": 0.0001, "tau": 7, "batch_size": 16, "in_channels": 1,
      "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
      "num_classes": 5},
@@ -375,13 +375,22 @@ def test_seed_range_flags(tmp_path, capsys):
             code = exc.code
         assert code == 2
         assert "error:" in capsys.readouterr().err
+    assert main(["search", "--seeds", ",", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: need at least one seed\n"
     assert not (tmp_path / "o").exists()
 
 
-# How the error line of a value that its flag's parser rejects ends: with the parser's reason.
-PARSER_REASONS = {
+# mock mode on bench fitness: each is valid alone, and the pair is refused before any file opens.
+MOCK_ON_BENCH = ('mode = "mock"\nrho = 0.5\nfitness = "bench"\nbench_path = "b.jsonl"\n'
+                 'dataset = "cifar10"\n')
+
+# How an error line ends: with the reason of the flag's parser or of the check that refuses it.
+REASONS = {
     'C = "abc"\n': "invalid value 'abc' for 'C': invalid literal for int() with base 10: 'abc'",
     "seeds = 5-3\n": "invalid value '5-3' for 'seeds': range '5-3' ends below its start",
+    "method = foo\n": "method must be one of ('gea', 'rea', 'rs'), got 'foo'",
+    "C 20\n": ":1: expected 'key = value', got 'C 20'",
+    MOCK_ON_BENCH: "mode=mock calibrates against a synthetic landscape; use fitness=synthetic",
 }
 
 
@@ -394,18 +403,16 @@ PARSER_REASONS = {
                                   "seeds = 0--3\n", 'dataset = "cifar10"\n',
                                   'bench_path = "/nonexistent.jsonl"\n',
                                   'mode = "proxy"\nt = NaN\n', 'mode = "proxy"\nt = Infinity\n',
-                                  "interaction_scale = Infinity\n", "interaction_scale = NaN\n",
-                                  "interaction_scale = -1\n", "seeds = 4294967297\n",
-                                  "landscape_seed = 4294967296\n"],
+                                  "seeds = 4294967297\n", "landscape_seed = 4294967296\n",
+                                  "method = foo\n", "C 20\n", MOCK_ON_BENCH],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
                               "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
                               "seed-repeated", "seed-negative", "seed-range-negative",
                               "seed-range-reversed", "seed-range-double-dash",
                               "dataset-without-bench-fitness", "bench-without-bench-fitness",
-                              "t-nan", "t-inf", "interaction-scale-inf",
-                              "interaction-scale-nan", "interaction-scale-negative",
-                              "seed-from-2**32", "landscape-seed-from-2**32"])
+                              "t-nan", "t-inf", "seed-from-2**32", "landscape-seed-from-2**32",
+                              "unknown-method", "line-without-equals", "mock-on-bench"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -413,8 +420,8 @@ def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     assert code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors
-    if text in PARSER_REASONS:
-        assert errors[0].endswith(PARSER_REASONS[text])
+    if text in REASONS:
+        assert errors[0].endswith(REASONS[text])
     assert not (tmp_path / "o").exists()
 
 
@@ -479,6 +486,8 @@ def test_knobs_read_or_at_default_are_accepted(tmp_path, bench_path):
     assert main(["search", "--method", "rs", "--fitness", "bench", "--bench", bench_path,
                  "--dataset", "cifar10", "--landscape-seed", "0", "--C", "6",
                  "--out", str(out / "bench")]) == 0
+    (tmp_path / "run.cfg").write_text("method = rs\nbench_path = null\nC = 6\n")  # null is unset
+    assert main(["search", "--config", str(tmp_path / "run.cfg"), "--out", str(out / "null")]) == 0
     write_tiny_batch(tmp_path / "b.bin", channels=1, hw=4, num_classes=3)
     assert main(["search", "--mode", "proxy", "--batch-file", str(tmp_path / "b.bin"),
                  "--in-channels", "1", "--image-hw", "4", "--stem-channels", "2",
@@ -734,9 +743,7 @@ def test_bench_fitness_end_to_end(bench_path, tmp_path):
         assert m["val_acc"] == pytest.approx(land.fitness_of(parse_str(m["arch"])))
 
 
-@pytest.mark.parametrize("knob", [["--interaction-scale", "nan"], ["--interaction-scale", "inf"],
-                                  ["--interaction-scale", "-1"], ["--landscape-seed", "-5"]],
-                         ids=["scale-nan", "scale-inf", "scale-negative", "seed-negative"])
+@pytest.mark.parametrize("knob", [["--landscape-seed", "-5"]], ids=["seed-negative"])
 def test_landscape_knobs_checked_with_bench_fitness(bench_path, tmp_path, capsys, knob):
     out = tmp_path / "o"
     code = main(["search", "--method", "rea", "--fitness", "bench", "--bench", bench_path,
@@ -788,3 +795,69 @@ def test_missing_bench_file(tmp_path, capsys):
 def test_search_requires_out(capsys):
     assert main(["search", "--C", "5"]) == 2
     assert "--out" in capsys.readouterr().err
+    assert main(["sweep", "--c-values", "10,20"]) == 2
+    assert capsys.readouterr().err == "error: sweep requires --out FILE.csv\n"
+
+
+@pytest.mark.parametrize("content,message", [(b'{"arch": 1}\n', "line 1: expected exactly fields ["),
+                                             (b"\xff\n", "'utf-8' codec can't decode byte 0xff")],
+                         ids=["schema", "not-utf-8"])
+def test_bench_format_error_names_the_file(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(content)
+    assert main(["search", "--method", "rs", "--fitness", "bench", "--bench", str(bad),
+                 "--dataset", "cifar10", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_interaction_scale_is_not_a_knob(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "--interaction-scale", "0.4", "--out", str(tmp_path / "o")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --interaction-scale" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("interaction_scale = 0.4\n")
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key 'interaction_scale' in {cfg}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def counting(calls, run):
+    def wrapper(config, *sources):
+        calls.append((run.__name__, config.C, config.seed))
+        return run(config, *sources)
+    return wrapper
+
+
+def test_commands_call_the_runners_by_name(tmp_path, monkeypatch):
+    # A tracer replaces the names in experiment_cli's namespace, not the
+    # function objects, so each search must look its runner up when it runs.
+    calls = []
+    for name in ("run_search", "run_rea_baseline", "run_random_baseline"):
+        monkeypatch.setattr(experiment_cli, name, counting(calls, getattr(experiment_cli, name)))
+    assert main(["sweep", "--c-values", "4,6", "--P", "2", "--seeds", "0,1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == [(run, C, seed) for C in (4, 6) for seed in (0, 1)
+                     for run in ("run_search", "run_rea_baseline")]
+    calls.clear()
+    assert main(["search", "--method", "rs", "--C", "3", "--P", "2", "--seeds", "0-1",
+                 "--out", str(tmp_path / "rs")]) == 0
+    assert calls == [("run_random_baseline", 3, 0), ("run_random_baseline", 3, 1)]
+
+
+def test_failing_last_seed_keeps_earlier_result_files(tmp_path, capsys, monkeypatch):
+    run = experiment_cli.run_rea_baseline
+
+    def fails_on_seed_2(config, fitness):
+        if config.seed == 2:
+            raise MemoryError()
+        return run(config, fitness)
+
+    monkeypatch.setattr(experiment_cli, "run_rea_baseline", fails_on_seed_2)
+    out = tmp_path / "out"
+    assert main(["search", "--method", "rea", "--C", "6", "--P", "2", "--seeds", "0-2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert sorted(p.name for p in out.iterdir()) == ["rea_seed0.json", "rea_seed1.json"]

@@ -59,6 +59,8 @@ def test_batch_validation():
         Batch(images=imgs[:1], labels=np.zeros(1, dtype=int), num_classes=2)
     with pytest.raises(ValueError, match="N,C,H,W"):
         Batch(images=imgs[0], labels=np.zeros(4, dtype=int), num_classes=2)
+    with pytest.raises(ValueError, match=r"^num_classes must be >= 1, got 0$"):
+        Batch(images=imgs, labels=np.zeros(4, dtype=int), num_classes=0)
     for bad in (np.nan, np.inf, -np.inf):
         corrupt = imgs.copy()
         corrupt[2, 1, 3, 4] = bad
@@ -231,6 +233,8 @@ def test_split_single_class_and_reconstruction():
     assert np.array_equal(stacked, rows[order])
     only = split_by_class(rows, np.zeros(10, dtype=int))
     assert len(only) == 1 and len(only[0]) == 10
+    with pytest.raises(ValueError, match=r"^need 4 labels, got shape \(3,\)$"):
+        split_by_class(rows[:4], labels[:3])
 
 
 def test_correlation_identical_rows():
