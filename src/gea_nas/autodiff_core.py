@@ -135,14 +135,14 @@ def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
 avg_pool_3x3_grad = avg_pool_3x3
 
 
-def batch_norm_with_cache(x: np.ndarray, eps: float = BN_EPS):
+def batch_norm_with_cache(x: np.ndarray):
     """Per-channel normalization by batch statistics over (N, H, W); scale 1,
     shift 0. Returns the output and the (xhat, inv_std) backward cache."""
     c, m = x.shape[0], x[0].size
     mean = (x.reshape(c, m) @ _ones(m)) / m
     xhat = x - mean.reshape(c, 1, 1, 1)
     centred = xhat.reshape(c, m)
-    inv_std = 1.0 / np.sqrt(np.vecdot(centred, centred) / m + eps).reshape(c, 1, 1, 1)
+    inv_std = 1.0 / np.sqrt(np.vecdot(centred, centred) / m + BN_EPS).reshape(c, 1, 1, 1)
     xhat *= inv_std
     return xhat, (xhat, inv_std)
 

@@ -3,21 +3,22 @@
 Subcommands:
   search  run one method (gea | rea | rs) for several seeds; write each
           seed's SearchResult JSON as its search ends, then an aggregate report.
-  sweep   run gea and rea across a list of C budgets and all seeds; write
-          a CSV of per-run bests for plotting budget curves.
+  sweep   run gea and rea across the --c-values budgets and all seeds; write
+          a CSV row of each run's bests as the run ends, for budget curves.
   report  aggregate per-seed SearchResult JSONs into a mean +/- std table,
           one row per method, one column group per dataset.
 
 RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
-ProxyConfig (t, tau, batch_size and the network's SkeletonConfig). Each of
+ProxyConfig (tau, batch_size and the network's SkeletonConfig). Each of
 their fields, bar the nested configs and the seed and dataset every run sets,
 is a flag (its name with dashes, or its metadata's "flag") and a key that a
 key=value config file sets once; flags win over the file, and seeds may hold
-ranges (0-9, 0-4,10). A knob set away from its default under a setting that
-does not read it (its "read_with") is an error. Each config and source checks
-its own values before any output is written. All randomness flows from the
-declared seeds, so reruns reproduce every result byte for byte except the
-"timing" sections and the sweep's proxy_wall_seconds column (wall clock).
+ranges (0-9, 0-4,10). A flag's text and a config value take one path: the
+key's parser, the owning config's checks and RunConfig.validate's (choices; no
+knob set off its default where its "read_with" setting is not met), all before
+any output is written. All randomness flows from the declared seeds, so
+reruns reproduce every result byte for byte except the "timing" sections and
+the sweep's proxy_wall_seconds column (wall clock).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -138,12 +140,19 @@ def _int_list(text: str) -> tuple[int, ...]:
         try:
             first, last = (int(start), int(end)) if start.strip() else (int(part),) * 2
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"could not parse integer list from {text!r}") from None
+            raise ValueError(f"could not parse integer list from {text!r}") from None
         if last < first:
-            raise argparse.ArgumentTypeError(f"range {part.strip()!r} ends below its start")
+            raise ValueError(f"range {part.strip()!r} ends below its start")
         values.extend(range(first, last + 1))
     return tuple(values)
+
+
+def _c_values(text: str) -> tuple[int, ...]:
+    """--c-values's argparse type: it has no config key, so argparse reports it."""
+    try:
+        return _int_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # Each config whose fields are flags, with the fields that are not: the
@@ -153,8 +162,8 @@ _CONFIGS = ((RunConfig, ("evolution", "proxy")), (EvolutionConfig, ("seed", "dat
 
 
 def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
-    """Config key -> (owning config, flag, text parser, accepts None, extra
-    argparse kwargs), one entry per flag field."""
+    """Config key -> (owning config, flag, text parser, accepts None, its
+    flag's help and metavar), one entry per flag field."""
     table = {}
     for owner, skipped in _CONFIGS:
         hints = get_type_hints(owner)
@@ -164,7 +173,9 @@ def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
             hint = hints[f.name]
             args = [a for a in get_args(hint) if a is not type(None)]
             parse = _int_list if hint == tuple[int, ...] else (args[0] if args else hint)
-            extra = {k: f.metadata[k] for k in ("help", "choices") if k in f.metadata}
+            choices = ",".join(f.metadata.get("choices", ()))  # validate checks them
+            extra = {"help": f.metadata.get("help"),
+                     "metavar": f"{{{choices}}}" if choices else None}
             table[f.name] = (owner, f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                              parse, type(None) in get_args(hint), extra)
     return table
@@ -173,16 +184,16 @@ def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
 _OPTIONS = _option_table()
 
 
-def _coerce(key: str, value, path: str):
-    """Send a config-file value through the parser of its flag."""
+def _coerce(key: str, value, source: str):
+    """Send a flag's text or a config-file value (from source) through the key's parser."""
     _, _, parse, nullable, _ = _OPTIONS[key]
     if value is None and nullable:
         return None
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     try:
         return parse(text)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise CliError(f"{path}: invalid value {value!r} for {key!r}: {exc}") from None
+    except ValueError as exc:
+        raise CliError(f"{source}: invalid value {value!r} for {key!r}: {exc}") from None
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -194,8 +205,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             if key not in _OPTIONS:
                 raise CliError(f"unknown config key {key!r} in {args.config}")
             values[key] = _coerce(key, value, args.config)
-    values.update((key, getattr(args, key)) for key in _OPTIONS
-                  if getattr(args, key, None) is not None)
+    values.update((key, _coerce(key, getattr(args, key), flag)) for key, (_, flag, *_)
+                  in _OPTIONS.items() if getattr(args, key, None) is not None)
     if getattr(args, "c_values", None):  # a sweep's budgets stand in for C
         if "C" in values:
             raise CliError("C applies only with search; a sweep takes its budgets from --c-values")
@@ -236,7 +247,7 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
     """Each seed's proxy source, built once per command and handed to every
     gea run of that seed, so a Jacobian source's memo spans all of them. A
     --batch-file is read once; without one, each seed's source draws its own."""
-    file_batch, sources = None, {}
+    file_batch = None
     if config.batch_file:
         if config.proxy.batch_size != ProxyConfig.batch_size:
             raise CliError("batch_size applies only without batch_file, which fixes N")
@@ -244,14 +255,9 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
             file_batch = read_batch_file(config.batch_file)
         except ValueError as exc:  # the layout's checks and Batch's own
             raise CliError(f"{config.batch_file}: {exc}") from None
-    for seed in config.seeds:
-        if config.mode == "oracle":
-            sources[seed] = OracleProxySource(fitness, dataset)
-        elif config.mode == "mock":
-            sources[seed] = NoisyProxySource(fitness, config.rho, seed)
-        else:
-            sources[seed] = JacobianProxySource(file_batch, config.proxy, seed)
-    return sources
+    return {seed: OracleProxySource(fitness, dataset) if config.mode == "oracle" else
+            NoisyProxySource(fitness, config.rho, seed) if config.mode == "mock" else
+            JacobianProxySource(file_batch, config.proxy, seed) for seed in config.seeds}
 
 
 def _searches(config: RunConfig, c_values: tuple[int, ...], methods: tuple[str, ...]):
@@ -308,9 +314,9 @@ def aggregate_report(runs: list[tuple[SearchResult, object]]) -> dict:
 
 
 def _write_csv(path: Path, rows) -> None:
-    """Rows through csv.writer's default dialect, so each row ends in CRLF."""
+    """Rows through csv.writer's default dialect (CRLF), each written out as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", buffering=1, newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -347,13 +353,14 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
         raise CliError(f"sweep needs at least two C values, all distinct, got {c_values}")
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
-    rows = [[r.method, r.config.C, r.config.seed, r.best.fitness, r.best.test_acc,
+    rows = ([r.method, r.config.C, r.config.seed, r.best.fitness, r.best.test_acc,
              r.train_seconds_total, r.proxy_wall_seconds]
-            for r, _ in _searches(config, c_values, ("gea", "rea"))]
+            for r, _ in _searches(config, c_values, ("gea", "rea")))
+    first = next(rows)  # the file opens once the sources are built and one search ended
     out_path = Path(config.out)
-    _write_csv(out_path, [["method", "C", "seed", "val_acc", "test_acc", "train_seconds",
-                           "proxy_wall_seconds"], *rows])
-    print(f"wrote {len(rows)} sweep rows to {out_path}")
+    _write_csv(out_path, chain([["method", "C", "seed", "val_acc", "test_acc", "train_seconds",
+                                 "proxy_wall_seconds"], first], rows))
+    print(f"wrote {2 * len(c_values) * len(config.seeds)} sweep rows to {out_path}")
     return 0
 
 
@@ -387,11 +394,8 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
     methods = sorted({r["method"] for r in rows})
     datasets = sorted({r["dataset"] for r in rows})
 
-    table: list[list[str]] = []
-    header = ["method"]
-    for ds in datasets:
-        header += [f"{ds} time", f"{ds} val", f"{ds} test"]
-    table.append(header)
+    header = ["method", *(f"{ds} {col}" for ds in datasets for col in ("time", "val", "test"))]
+    table = [header]
     for method in methods:
         line = [method]
         for ds in datasets:
@@ -424,8 +428,8 @@ def cmd_report(result_files: list[str], out: str | None) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    for key, (_, flag, parse, _, extra) in _OPTIONS.items():
-        p.add_argument(flag, dest=key, type=parse, **extra)
+    for key, (_, flag, _, _, extra) in _OPTIONS.items():
+        p.add_argument(flag, dest=key, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,12 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Guided evolutionary architecture search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_search = sub.add_parser("search", help="run one method over several seeds")
+    p_search = sub.add_parser("search", help="run one method over several seeds",
+                              allow_abbrev=False)  # so --t is refused, not read as --tau
     _add_run_flags(p_search)
 
-    p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea")
+    p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea", allow_abbrev=False)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--c-values", dest="c_values", type=_int_list, required=True,
+    p_sweep.add_argument("--c-values", dest="c_values", type=_c_values, required=True,
                          help="comma-separated C budgets, at least two, all distinct")
 
     p_report = sub.add_parser("report", help="aggregate result JSONs into a table")
@@ -462,7 +467,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a skeleton or batch too large to allocate
-        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

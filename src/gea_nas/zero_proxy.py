@@ -25,6 +25,7 @@ from .autodiff_core import CompGraph
 from .network_builder import SkeletonConfig, build_network
 
 _HEADER = struct.Struct("<5i")  # N, C, H, W, K
+SATURATION_T = 1e-5  # EPE-NAS's fixed t in log(|sigma| + t)
 
 
 class BatchFileError(ValueError):
@@ -64,23 +65,18 @@ class Batch:
 
 @dataclass(frozen=True)
 class ProxyConfig:
-    """Scoring knobs; t and tau gate the log saturation and the large-K branch.
+    """Scoring knobs; tau gates the large-K branch. The log's t is SATURATION_T.
 
     ``skeleton`` shapes both the scored network and the synthetic batch
     (input shape and class count)."""
 
-    t: float = field(default=1e-5, metadata={"help": "log saturation constant"})
     tau: int = field(default=100, metadata={"help": "class-count threshold"})
     batch_size: int = 32
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
 
     def __post_init__(self) -> None:
-        if not 0 < self.t < float("inf"):
-            raise ValueError(f"t must be positive and finite, got {self.t}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,7 @@ def correlation_matrix(rows: np.ndarray) -> np.ndarray | None:
 def class_score(sigma: np.ndarray, num_classes: int, config: ProxyConfig) -> float:
     """Sum of log(|entry| + t) over the matrix; averaged over entries when the
     class count exceeds tau so huge-K scores stay comparable across sizes."""
-    total = float(np.log(np.abs(sigma) + config.t).sum())
+    total = float(np.log(np.abs(sigma) + SATURATION_T).sum())
     if num_classes <= config.tau:
         return total
     return total / sigma.size
@@ -194,7 +190,7 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
     if sigma is None:
         return INVALID_SCORE
     onehot = (batch.labels[:, None] == np.unique(batch.labels)).astype(np.float64)
-    e = ((np.log(np.abs(sigma) + config.t) @ onehot) * onehot).sum(axis=0)
+    e = ((np.log(np.abs(sigma) + SATURATION_T) @ onehot) * onehot).sum(axis=0)
     if batch.num_classes > config.tau:
         e /= onehot.sum(axis=0) ** 2  # class_score's mean over the block
     z = aggregate(e, batch.num_classes, config)
@@ -269,8 +265,6 @@ def read_batch_file(path: str | Path) -> Batch:
     images = np.frombuffer(data, dtype="<f4", count=n * c * h * w, offset=offset)
     offset += n * c * h * w * 4
     labels = np.frombuffer(data, dtype="<i4", count=n, offset=offset)
-    if labels.min() < 0 or labels.max() >= k:
-        raise BatchFileError(f"labels must lie in [0, {k})")
     return Batch(images=images.astype(np.float64).reshape(n, c, h, w),
                  labels=labels.astype(np.int64), num_classes=k)
 

@@ -318,7 +318,7 @@ EVERY_FIELD = [
     {"method": "rea", "fitness": "bench", "bench_path": "b.jsonl", "dataset": "cifar10",
      "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "out": "o"},
     {"mode": "mock", "landscape_seed": 3, "rho": 0.5},
-    {"mode": "proxy", "t": 0.0001, "tau": 7, "batch_size": 16, "in_channels": 1,
+    {"mode": "proxy", "tau": 7, "batch_size": 16, "in_channels": 1,
      "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
      "num_classes": 5},
     {"mode": "proxy", "batch_file": "x.bin"},
@@ -366,15 +366,11 @@ def test_seed_range_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seeds = 3-4\n")
     assert parsed(["search", "--config", str(cfg)]).seeds == (3, 4)
-    # argparse refuses a reversed range (5-3, 0--3); -3-0 parses, and its
-    # seed -3 fails EvolutionConfig's bound
+    # the seeds parser refuses a reversed range (5-3, 0--3); -3-0 parses, and
+    # its seed -3 fails EvolutionConfig's bound
     for text in ("5-3", "0--3", "-3-0"):
-        try:
-            code = main(["search", f"--seeds={text}", "--out", str(tmp_path / "o")])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["search", f"--seeds={text}", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     assert main(["search", "--seeds", ",", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: need at least one seed\n"
     assert not (tmp_path / "o").exists()
@@ -389,6 +385,8 @@ REASONS = {
     'C = "abc"\n': "invalid value 'abc' for 'C': invalid literal for int() with base 10: 'abc'",
     "seeds = 5-3\n": "invalid value '5-3' for 'seeds': range '5-3' ends below its start",
     "method = foo\n": "method must be one of ('gea', 'rea', 'rs'), got 'foo'",
+    'mode = "mock"\nrho = "hi"\n': "invalid value 'hi' for 'rho': "
+                                    "could not convert string to float: 'hi'",
     "C 20\n": ":1: expected 'key = value', got 'C 20'",
     MOCK_ON_BENCH: "mode=mock calibrates against a synthetic landscape; use fitness=synthetic",
 }
@@ -396,22 +394,21 @@ REASONS = {
 
 @pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
                                   'mode = "mock"\nrho = "hi"\n', "C = 3\nP = 5\n",
-                                  "S = 0\n", "t = 0\n", "tau = 0\n", "num_classes = 1\n",
+                                  "S = 0\n", "tau = 0\n", "num_classes = 1\n",
                                   "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
                                   'mode = "proxy"\nbatch_size = 5\n', "seeds = 0,0\n",
                                   "seeds = 0,-1\n", "seeds = -3-0\n", "seeds = 5-3\n",
                                   "seeds = 0--3\n", 'dataset = "cifar10"\n',
                                   'bench_path = "/nonexistent.jsonl"\n',
-                                  'mode = "proxy"\nt = NaN\n', 'mode = "proxy"\nt = Infinity\n',
                                   "seeds = 4294967297\n", "landscape_seed = 4294967296\n",
                                   "method = foo\n", "C 20\n", MOCK_ON_BENCH],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
-                              "S-zero", "t-zero", "tau-zero", "one-class", "no-stem-channels",
+                              "S-zero", "tau-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
                               "seed-repeated", "seed-negative", "seed-range-negative",
                               "seed-range-reversed", "seed-range-double-dash",
                               "dataset-without-bench-fitness", "bench-without-bench-fitness",
-                              "t-nan", "t-inf", "seed-from-2**32", "landscape-seed-from-2**32",
+                              "seed-from-2**32", "landscape-seed-from-2**32",
                               "unknown-method", "line-without-equals", "mock-on-bench"])
 def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
@@ -422,6 +419,37 @@ def test_bad_config_value_is_an_error(tmp_path, capsys, text):
     assert errors
     if text in REASONS:
         assert errors[0].endswith(REASONS[text])
+    assert not (tmp_path / "o").exists()
+
+
+# One bad value as flags and as the config lines of REASONS.
+FLAG_FORMS = {'C = "abc"\n': ["--C", "abc"], "seeds = 5-3\n": ["--seeds", "5-3"],
+              "method = foo\n": ["--method", "foo"],
+              'mode = "mock"\nrho = "hi"\n': ["--mode", "mock", "--rho", "hi"]}
+
+
+@pytest.mark.parametrize("text", FLAG_FORMS, ids=["C", "seeds", "method", "rho"])
+def test_bad_flag_and_config_line_give_one_error_line(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["search", *FLAG_FORMS[text], *out], ["search", "--config", str(cfg), *out]):
+        assert main(argv) == 2  # argparse would raise SystemExit instead
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and err[0].endswith(REASONS[text])
+    assert not (tmp_path / "o").exists()
+
+
+def test_t_is_not_a_knob(tmp_path, capsys):
+    # EPE-NAS fixes t = 1e-5; --t is not taken for --tau either.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", "--t", "1", "--out", str(tmp_path / "o")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --t 1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t = 1\n")
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key 't' in {cfg}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -443,7 +471,8 @@ UNREAD_KNOBS = {
                               "--batch-file", "/nonexistent.bin"],
                              "mode applies only with method=gea"),
     "rea-rho": (["search", "--method", "rea", "--rho", "0.5"], "rho applies only with mode=mock"),
-    "oracle-t": (["search", "--mode", "oracle", "--t", "0.5"], "t applies only with mode=proxy"),
+    "oracle-batch-size": (["search", "--mode", "oracle", "--batch-size", "8"],
+                          "batch_size applies only with mode=proxy"),
     "rs-skeleton": (["search", "--method", "rs", "--image-hw", "32", "--tau", "3"],
                     "tau applies only with mode=proxy"),
     "rs-skeleton-only": (["search", "--method", "rs", "--image-hw", "32"],
@@ -491,7 +520,7 @@ def test_knobs_read_or_at_default_are_accepted(tmp_path, bench_path):
     write_tiny_batch(tmp_path / "b.bin", channels=1, hw=4, num_classes=3)
     assert main(["search", "--mode", "proxy", "--batch-file", str(tmp_path / "b.bin"),
                  "--in-channels", "1", "--image-hw", "4", "--stem-channels", "2",
-                 "--num-classes", "3", "--t", "0.0001", "--C", "4", "--P", "2",
+                 "--num-classes", "3", "--C", "4", "--P", "2",
                  "--out", str(out / "proxy")]) == 0
     assert (out / "proxy" / "gea_seed0.json").exists()
 
@@ -534,8 +563,8 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message)
     code = main(["search", "--mode", "proxy", "--C", "6", "--P", "2", "--image-hw", "100000",
                  "--seeds", "0", "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: out of memory: {message or 'allocation failed'}"]
     assert not out.exists()
 
 
@@ -861,3 +890,24 @@ def test_failing_last_seed_keeps_earlier_result_files(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory")
     assert sorted(p.name for p in out.iterdir()) == ["rea_seed0.json", "rea_seed1.json"]
+
+
+def test_failing_late_sweep_run_keeps_finished_rows(tmp_path, capsys, monkeypatch):
+    run = experiment_cli.run_rea_baseline
+
+    def fails_at_c6_seed1(config, fitness):
+        if (config.C, config.seed) == (6, 1):
+            raise MemoryError()
+        return run(config, fitness)
+
+    monkeypatch.setattr(experiment_cli, "run_rea_baseline", fails_at_c6_seed1)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--c-values", "4,6", "--P", "2", "--seeds", "0,1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory: allocation failed"]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:3] == ["method", "C", "seed"]
+    assert [tuple(r[:3]) for r in rows[1:]] == [
+        (method, C, seed) for C in ("4", "6") for seed in ("0", "1")
+        for method in ("gea", "rea")][:7]

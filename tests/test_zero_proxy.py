@@ -19,6 +19,7 @@ from gea_nas.zero_proxy import (
     BatchFileError,
     INVALID_SCORE,
     JacobianProxySource,
+    SATURATION_T,
     ProxyConfig,
     aggregate,
     class_score,
@@ -82,20 +83,15 @@ def test_make_batch_deterministic():
 
 
 def test_make_batch_needs_n_ge_k():
-    with pytest.raises(ValueError, match="N >= K"):
-        make_batch(ProxyConfig(batch_size=5), np.random.default_rng(0))
+    # batch_size=1 is refused here too: the skeleton holds K >= 2.
+    for n in (5, 1):
+        with pytest.raises(ValueError, match=f"N >= K, got N={n} K=10"):
+            make_batch(ProxyConfig(batch_size=n), np.random.default_rng(0))
 
 
 def test_proxy_config_validation():
-    with pytest.raises(ValueError):
-        ProxyConfig(t=0.0)
-    for t in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="t must be positive and finite"):
-            ProxyConfig(t=t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be >= 1"):
         ProxyConfig(tau=0)
-    with pytest.raises(ValueError, match="batch_size"):
-        ProxyConfig(batch_size=1)
 
 
 # --- batch files -----------------------------------------------------------
@@ -134,12 +130,13 @@ def test_batch_file_errors(tmp_path):
     with pytest.raises(BatchFileError, match="non-positive"):
         read_batch_file(bad_header)
 
-    # out-of-range label in the trailing int32 block
+    # out-of-range label in the trailing int32 block: Batch's own check
     corrupted = bytearray(data)
     corrupted[-4:] = (99).to_bytes(4, "little")
     bad_label = tmp_path / "label.bin"
     bad_label.write_bytes(bytes(corrupted))
-    with pytest.raises(BatchFileError, match="labels"):
+    k = small_batch().num_classes
+    with pytest.raises(ValueError, match=rf"^labels must lie in \[0, {k}\)$"):
         read_batch_file(bad_label)
 
 
@@ -274,7 +271,7 @@ def test_class_score_large_k_normalizes_by_entries():
     sigma = np.random.default_rng(10).uniform(-1, 1, size=(3, 3))
     sigma = (sigma + sigma.T) / 2
     np.fill_diagonal(sigma, 1.0)
-    unnormalized = np.log(np.abs(sigma) + config.t).sum()
+    unnormalized = np.log(np.abs(sigma) + SATURATION_T).sum()
     assert abs(class_score(sigma, 3, config) - unnormalized / 9) <= 1e-12
 
 
