@@ -12,8 +12,8 @@ RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
 ProxyConfig (tau, batch_size and the network's SkeletonConfig). Each of
 their fields, bar the nested configs and the seed and dataset every run sets,
 is a flag (its name with dashes, or its metadata's "flag") and a key that a
-key=value config file sets once; flags win over the file, and seeds may hold
-ranges (0-9, 0-4,10). A flag's text and a config value take one path: the
+key=value config file sets once, as a command line gives each flag once; flags
+win over the file, and seeds may hold ranges (0-9, 0-4,10). A flag's text and a config value take one path: the
 key's parser, the owning config's checks and RunConfig.validate's (choices; no
 knob set off its default where its "read_with" setting is not met), all before
 any output is written. All randomness flows from the declared seeds, so
@@ -58,6 +58,27 @@ FITNESS = ("synthetic", "bench")
 
 class CliError(Exception):
     """Configuration or input problem surfaced to the user with exit code 2."""
+
+
+class _Once(argparse.Action):
+    """Stores a flag's text, refusing a second one as a config file refuses a key set twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise CliError(f"{option_string}: flag given twice")
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that only splits the command line and prints --help: a bad one
+    raises CliError, and each flag's text is stored once (_Once)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _meta(default, help=None, **extra):
@@ -115,7 +136,11 @@ def _set_keys(name: str, value, default) -> list[str]:
 def _parse_config_file(path: str) -> dict:
     """key = value lines; values go through JSON, falling back to strings."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # which names no file
+        raise CliError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -147,14 +172,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _c_values(text: str) -> tuple[int, ...]:
-    """--c-values's argparse type: it has no config key, so argparse reports it."""
-    try:
-        return _int_list(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 # Each config whose fields are flags, with the fields that are not: the
 # nested configs, and the seed and dataset that every run sets itself.
 _CONFIGS = ((RunConfig, ("evolution", "proxy")), (EvolutionConfig, ("seed", "dataset")),
@@ -184,19 +201,17 @@ def _option_table() -> dict[str, tuple[type, str, object, bool, dict]]:
 _OPTIONS = _option_table()
 
 
-def _coerce(key: str, value, source: str):
-    """Send a flag's text or a config-file value (from source) through the key's parser."""
-    _, _, parse, nullable, _ = _OPTIONS[key]
-    if value is None and nullable:
-        return None
+def _coerce(key: str, value, source: str, parse=None):
+    """Send a flag's text or a config-file value (from source) through parse, by
+    default the key's own; --c-values, the one flag with no config key, passes it."""
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     try:
-        return parse(text)
+        return (parse or _OPTIONS[key][2])(text)
     except ValueError as exc:
         raise CliError(f"{source}: invalid value {value!r} for {key!r}: {exc}") from None
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+def build_run_config(args: argparse.Namespace, c_values: tuple[int, ...] = ()) -> RunConfig:
     """Merge defaults <- config file <- command-line flags, then build each
     config from its own values, so its validator runs before any output."""
     values: dict = {}
@@ -204,13 +219,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         for key, value in _parse_config_file(args.config).items():
             if key not in _OPTIONS:
                 raise CliError(f"unknown config key {key!r} in {args.config}")
-            values[key] = _coerce(key, value, args.config)
+            null = value is None and _OPTIONS[key][3]  # JSON null for a key that takes None
+            values[key] = None if null else _coerce(key, value, args.config)
     values.update((key, _coerce(key, getattr(args, key), flag)) for key, (_, flag, *_)
                   in _OPTIONS.items() if getattr(args, key, None) is not None)
-    if getattr(args, "c_values", None):  # a sweep's budgets stand in for C
+    if c_values:  # a sweep's budgets stand in for C
         if "C" in values:
             raise CliError("C applies only with search; a sweep takes its budgets from --c-values")
-        values["C"] = min(args.c_values)
+        values["C"] = min(c_values)
 
     def own(owner) -> dict:
         return {k: v for k, v in values.items() if _OPTIONS[k][0] is owner}
@@ -433,8 +449,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gea-nas",
-                                     description="Guided evolutionary architecture search")
+    parser = _Parser(prog="gea-nas", description="Guided evolutionary architecture search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="run one method over several seeds",
@@ -443,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea", allow_abbrev=False)
     _add_run_flags(p_sweep)
-    p_sweep.add_argument("--c-values", dest="c_values", type=_c_values, required=True,
+    p_sweep.add_argument("--c-values", dest="c_values", required=True,
                          help="comma-separated C budgets, at least two, all distinct")
 
     p_report = sub.add_parser("report", help="aggregate result JSONs into a table")
@@ -454,15 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    try:  # argparse raises CliError here; only --help exits (SystemExit(0))
+        args = build_parser().parse_args(argv)
         if args.command == "report":
             return cmd_report(args.files, args.out)
-        config = build_run_config(args)
         if args.command == "search":
-            return cmd_search(config)
-        return cmd_sweep(config, args.c_values)
+            return cmd_search(build_run_config(args))
+        c_values = _coerce("c_values", args.c_values, "--c-values", _int_list)
+        return cmd_sweep(build_run_config(args, c_values), c_values)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -442,10 +442,8 @@ def test_bad_flag_and_config_line_give_one_error_line(tmp_path, capsys, text):
 
 def test_t_is_not_a_knob(tmp_path, capsys):
     # EPE-NAS fixes t = 1e-5; --t is not taken for --tau either.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["search", "--t", "1", "--out", str(tmp_path / "o")])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments: --t 1" in capsys.readouterr().err
+    assert main(["search", "--t", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --t 1\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t = 1\n")
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -841,14 +839,81 @@ def test_bench_format_error_names_the_file(tmp_path, capsys, content, message):
 
 
 def test_interaction_scale_is_not_a_knob(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["search", "--interaction-scale", "0.4", "--out", str(tmp_path / "o")])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments: --interaction-scale" in capsys.readouterr().err
+    assert main(["search", "--interaction-scale", "0.4", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --interaction-scale 0.4\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("interaction_scale = 0.4\n")
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: unknown config key 'interaction_scale' in {cfg}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# Command lines refused while argparse splits them, or with their --c-values
+# list; the full line is pinned only where this package writes the message.
+BAD_COMMAND_LINES = {
+    "no-command": ([], None),
+    "unknown-command": (["bogus"], None),
+    "unknown-flag": (["search", "--bogus", "1"], None),
+    "flag-without-value": (["search", "--C"], None),
+    "report-without-files": (["report"], None),
+    "sweep-without-c-values": (["sweep", "--out", "x.csv"], None),
+    "c-values-reversed-range": (["sweep", "--c-values", "5-3", "--out", "x.csv"],
+                                "error: --c-values: invalid value '5-3' for 'c_values': "
+                                "range '5-3' ends below its start"),
+}
+
+
+@pytest.mark.parametrize("argv,line", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_bad_command_line_is_one_error_line(tmp_path, capsys, monkeypatch, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2  # no usage text and no SystemExit
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert line is None or err[0] == line
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--help"])
+    assert excinfo.value.code == 0
+    assert "--c-values" in capsys.readouterr().out
+
+
+# A flag given twice, like a config key set twice, is refused rather than
+# letting the last one win; each case writes a.cfg (P = 2) and b.cfg (P = 5).
+REPEATED_FLAGS = {
+    "C": (["search", "--method", "rs", "--C", "4", "--C", "6", "--P", "2", "--out", "o"], "--C"),
+    "seeds-with-equals": (["search", "--seeds=0", "--seeds", "1", "--out", "o"], "--seeds"),
+    "config": (["search", "--method", "rs", "--C", "6", "--config", "a.cfg",
+                "--config", "b.cfg", "--out", "o"], "--config"),
+    "c-values": (["sweep", "--c-values", "4,6", "--P", "2", "--c-values", "8,9",
+                  "--out", "s.csv"], "--c-values"),
+    "report-out": (["report", "r.json", "--out", "a.csv", "--out", "b.csv"], "--out"),
+}
+
+
+@pytest.mark.parametrize("argv,flag", REPEATED_FLAGS.values(), ids=REPEATED_FLAGS)
+def test_flag_given_twice_is_refused(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("P = 2\n")
+    (tmp_path / "b.cfg").write_text("P = 5\n")
+    (tmp_path / "r.json").write_text(json.dumps(result_doc("rs", "synthetic", 90.0, 90.0, 1.0)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag}: flag given twice\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg", "r.json"]
+
+
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"P = 2\n\xff\n")
+    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
     assert not (tmp_path / "o").exists()
 
 
