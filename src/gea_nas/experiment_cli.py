@@ -9,7 +9,7 @@ Subcommands:
           one row per method, one column group per dataset.
 
 RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
-ProxyConfig (tau, batch_size and the network's SkeletonConfig). Each of
+ProxyConfig (batch_size and the network's SkeletonConfig). Each of
 their fields, bar the nested configs and the seed and dataset every run sets,
 is a flag (its name with dashes, or its metadata's "flag") and a key that a
 key=value config file sets once, as a command line gives each flag once; flags
@@ -137,7 +137,7 @@ def _parse_config_file(path: str) -> dict:
     """key = value lines; values go through JSON, falling back to strings."""
     values: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no key
     except UnicodeDecodeError as exc:  # which names no file
         raise CliError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -329,6 +329,20 @@ def aggregate_report(runs: list[tuple[SearchResult, object]]) -> dict:
     }
 
 
+def _out_path(out: str, is_file: bool) -> Path:
+    """--out as a Path, refused before any search runs where nothing could be
+    written: a sweep's CSV must not be a directory, and the nearest existing
+    path at or above the output's directory must be one."""
+    path = Path(out)
+    if is_file and path.is_dir():
+        raise CliError(f"--out {out} is a directory; a sweep writes one CSV file")
+    folder = path.parent if is_file else path
+    nearest = next(p for p in (folder, *folder.parents) if p.exists())
+    if not nearest.is_dir():
+        raise CliError(f"--out {out}: {nearest} is not a directory")
+    return path
+
+
 def _write_csv(path: Path, rows) -> None:
     """Rows through csv.writer's default dialect (CRLF), each written out as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -352,7 +366,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_search(config: RunConfig) -> int:
     if not config.out:
         raise CliError("search requires --out DIR for result files")
-    out_dir, runs = Path(config.out), []
+    out_dir, runs = _out_path(config.out, is_file=False), []
     for result, proxy in _searches(config, (config.evolution.C,), (config.method,)):
         runs.append((result, proxy))  # each seed's file is written as its search ends
         _write_json(out_dir / f"{config.method}_seed{result.config.seed}.json",
@@ -369,11 +383,11 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
         raise CliError(f"sweep needs at least two C values, all distinct, got {c_values}")
     if not config.out:
         raise CliError("sweep requires --out FILE.csv")
+    out_path = _out_path(config.out, is_file=True)
     rows = ([r.method, r.config.C, r.config.seed, r.best.fitness, r.best.test_acc,
              r.train_seconds_total, r.proxy_wall_seconds]
             for r, _ in _searches(config, c_values, ("gea", "rea")))
     first = next(rows)  # the file opens once the sources are built and one search ended
-    out_path = Path(config.out)
     _write_csv(out_path, chain([["method", "C", "seed", "val_acc", "test_acc", "train_seconds",
                                  "proxy_wall_seconds"], first], rows))
     print(f"wrote {2 * len(c_values) * len(config.seeds)} sweep rows to {out_path}")
@@ -453,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="run one method over several seeds",
-                              allow_abbrev=False)  # so --t is refused, not read as --tau
+                              allow_abbrev=False)  # so --seed is refused, not read as --seeds
     _add_run_flags(p_search)
 
     p_sweep = sub.add_parser("sweep", help="budget sweep of gea vs rea", allow_abbrev=False)

@@ -26,6 +26,7 @@ from .network_builder import SkeletonConfig, build_network
 
 _HEADER = struct.Struct("<5i")  # N, C, H, W, K
 SATURATION_T = 1e-5  # EPE-NAS's fixed t in log(|sigma| + t)
+CLASS_THRESHOLD_TAU = 100  # EPE-NAS's tau: a batch of more classes takes the large-K branch
 
 
 class BatchFileError(ValueError):
@@ -65,18 +66,12 @@ class Batch:
 
 @dataclass(frozen=True)
 class ProxyConfig:
-    """Scoring knobs; tau gates the large-K branch. The log's t is SATURATION_T.
+    """What shapes the scored network and the synthetic batch: ``skeleton``
+    (network, input shape and class count) and ``batch_size``. EPE-NAS's t
+    and tau are the constants SATURATION_T and CLASS_THRESHOLD_TAU."""
 
-    ``skeleton`` shapes both the scored network and the synthetic batch
-    (input shape and class count)."""
-
-    tau: int = field(default=100, metadata={"help": "class-count threshold"})
     batch_size: int = 32
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
-
-    def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +129,20 @@ def correlation_matrix(rows: np.ndarray) -> np.ndarray | None:
     return scaled @ scaled.T
 
 
-def class_score(sigma: np.ndarray, num_classes: int, config: ProxyConfig) -> float:
+def class_score(sigma: np.ndarray, num_classes: int) -> float:
     """Sum of log(|entry| + t) over the matrix; averaged over entries when the
     class count exceeds tau so huge-K scores stay comparable across sizes."""
     total = float(np.log(np.abs(sigma) + SATURATION_T).sum())
-    if num_classes <= config.tau:
+    if num_classes <= CLASS_THRESHOLD_TAU:
         return total
     return total / sigma.size
 
 
-def aggregate(e, num_classes: int, config: ProxyConfig) -> float:
+def aggregate(e, num_classes: int) -> float:
     """Collapse per-class scores: sum of |e_w| up to tau classes, otherwise
     the mean spread Sum_{i<j} |e_i - e_j| / K. Higher is better either way."""
     arr = np.asarray(e, dtype=np.float64)
-    if num_classes <= config.tau:
+    if num_classes <= CLASS_THRESHOLD_TAU:
         return float(np.abs(arr).sum())
     diffs = np.abs(arr[:, None] - arr[None, :])
     return float(np.triu(diffs, k=1).sum() / num_classes)
@@ -191,9 +186,9 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
         return INVALID_SCORE
     onehot = (batch.labels[:, None] == np.unique(batch.labels)).astype(np.float64)
     e = ((np.log(np.abs(sigma) + SATURATION_T) @ onehot) * onehot).sum(axis=0)
-    if batch.num_classes > config.tau:
+    if batch.num_classes > CLASS_THRESHOLD_TAU:
         e /= onehot.sum(axis=0) ** 2  # class_score's mean over the block
-    z = aggregate(e, batch.num_classes, config)
+    z = aggregate(e, batch.num_classes)
     return ProxyScore(z=z) if np.isfinite(z) else INVALID_SCORE
 
 

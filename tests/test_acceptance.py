@@ -11,11 +11,13 @@ point GEA_NAS_BENCH_JSONL and GEA_NAS_BATCH_FILE at them to enable it.
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, mannwhitneyu
 
+from gea_nas import zero_proxy
 from gea_nas.arch_space import mutate, random_arch
 from grad_helpers import grad_check
 from gea_nas.benchmark_store import (
@@ -110,22 +112,23 @@ def test_criterion_2_correlation_matrices_well_formed():
 
 
 def test_criterion_3_score_formula_closed_forms():
-    config = ProxyConfig()
-    small_tau = ProxyConfig(tau=2)
+    small_tau = mock.patch.object(zero_proxy, "CLASS_THRESHOLD_TAU", 2)
     with _verdict(3, "score formula closed forms"):
         ones2 = np.ones((2, 2))
-        assert class_score(ones2, 2, config) == pytest.approx(
+        assert class_score(ones2, 2) == pytest.approx(
             4 * np.log(1 + 1e-5), abs=1e-12)
         eye2 = np.eye(2)
-        assert class_score(eye2, 2, config) == pytest.approx(
+        assert class_score(eye2, 2) == pytest.approx(
             2 * np.log(1 + 1e-5) + 2 * np.log(1e-5), abs=1e-12)
         # past tau classes the per-class score is averaged over entries
         ones3 = np.ones((3, 3))
-        assert class_score(ones3, 3, small_tau) == pytest.approx(
-            np.log(1 + 1e-5), abs=1e-12)
-        assert aggregate([-3.0, 5.0], 2, config) == pytest.approx(8.0, abs=1e-12)
-        assert aggregate([1.0, 2.0, 4.0], 3, small_tau) == pytest.approx(
-            2.0, abs=1e-12)
+        with small_tau:
+            assert class_score(ones3, 3) == pytest.approx(
+                np.log(1 + 1e-5), abs=1e-12)
+        assert aggregate([-3.0, 5.0], 2) == pytest.approx(8.0, abs=1e-12)
+        with small_tau:
+            assert aggregate([1.0, 2.0, 4.0], 3) == pytest.approx(
+                2.0, abs=1e-12)
 
 
 def test_criterion_4_mutation_and_aging():

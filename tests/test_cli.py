@@ -318,7 +318,7 @@ EVERY_FIELD = [
     {"method": "rea", "fitness": "bench", "bench_path": "b.jsonl", "dataset": "cifar10",
      "C": 12, "P": 3, "S": 4, "seeds": (4, 5), "out": "o"},
     {"mode": "mock", "landscape_seed": 3, "rho": 0.5},
-    {"mode": "proxy", "tau": 7, "batch_size": 16, "in_channels": 1,
+    {"mode": "proxy", "batch_size": 16, "in_channels": 1,
      "image_hw": 4, "stem_channels": 2, "num_stages": 2, "cells_per_stage": 3,
      "num_classes": 5},
     {"mode": "proxy", "batch_file": "x.bin"},
@@ -394,7 +394,7 @@ REASONS = {
 
 @pytest.mark.parametrize("text", ['C = "abc"\n', "C = 20\nP = 5.5\n",
                                   'mode = "mock"\nrho = "hi"\n', "C = 3\nP = 5\n",
-                                  "S = 0\n", "tau = 0\n", "num_classes = 1\n",
+                                  "S = 0\n", "num_classes = 1\n",
                                   "stem_channels = 0\n", "rho = 5\n", "batch_size = 1\n",
                                   'mode = "proxy"\nbatch_size = 5\n', "seeds = 0,0\n",
                                   "seeds = 0,-1\n", "seeds = -3-0\n", "seeds = 5-3\n",
@@ -403,7 +403,7 @@ REASONS = {
                                   "seeds = 4294967297\n", "landscape_seed = 4294967296\n",
                                   "method = foo\n", "C 20\n", MOCK_ON_BENCH],
                          ids=["C-not-int", "P-not-int", "rho-not-float", "P-above-C",
-                              "S-zero", "tau-zero", "one-class", "no-stem-channels",
+                              "S-zero", "one-class", "no-stem-channels",
                               "rho-above-one", "batch-of-one", "batch-below-K",
                               "seed-repeated", "seed-negative", "seed-range-negative",
                               "seed-range-reversed", "seed-range-double-dash",
@@ -440,15 +440,30 @@ def test_bad_flag_and_config_line_give_one_error_line(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
-def test_t_is_not_a_knob(tmp_path, capsys):
-    # EPE-NAS fixes t = 1e-5; --t is not taken for --tau either.
-    assert main(["search", "--t", "1", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: unrecognized arguments: --t 1\n"
+@pytest.mark.parametrize("key", ["t", "tau", "interaction_scale"])
+def test_constant_is_not_a_knob(tmp_path, capsys, key):
+    # EPE-NAS fixes t = 1e-5 and tau = 100; the landscape's interaction scale is 0.4.
+    flag = "--" + key.replace("_", "-")
+    assert main(["search", flag, "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("t = 1\n")
+    cfg.write_text(f"{key} = 1\n")
     assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: unknown config key 't' in {cfg}\n"
+    assert capsys.readouterr().err == f"error: unknown config key '{key}' in {cfg}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_config_file_with_bom_runs_like_one_without(tmp_path):
+    text = "method = rs\nC = 4\nP = 2\nseeds = 0-1\n"
+    (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    for name in ("plain", "bom"):
+        assert main(["search", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    for result in ("rs_seed0.json", "rs_seed1.json", "rs_report.json"):
+        assert strip_timing(json.loads((tmp_path / "bom" / result).read_text())) == \
+            strip_timing(json.loads((tmp_path / "plain" / result).read_text()))
 
 
 def test_mock_mode_requires_rho(tmp_path, capsys):
@@ -471,8 +486,8 @@ UNREAD_KNOBS = {
     "rea-rho": (["search", "--method", "rea", "--rho", "0.5"], "rho applies only with mode=mock"),
     "oracle-batch-size": (["search", "--mode", "oracle", "--batch-size", "8"],
                           "batch_size applies only with mode=proxy"),
-    "rs-skeleton": (["search", "--method", "rs", "--image-hw", "32", "--tau", "3"],
-                    "tau applies only with mode=proxy"),
+    "rs-skeleton": (["search", "--method", "rs", "--image-hw", "32", "--batch-size", "3"],
+                    "batch_size applies only with mode=proxy"),
     "rs-skeleton-only": (["search", "--method", "rs", "--image-hw", "32"],
                          "image_hw applies only with mode=proxy"),
     "oracle-batch-file": (["search", "--batch-file", "/nonexistent.bin"],
@@ -819,6 +834,35 @@ def test_missing_bench_file(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# An --out where no output can be made, and the end of the error line; each
+# case runs in a directory that holds one file, afile.
+UNUSABLE_OUT = {
+    "search-into-a-file": (["search", "--mode", "proxy", "--C", "150", "--P", "5",
+                            "--out", "afile"], "afile: afile is not a directory"),
+    "search-below-a-file": (["search", "--out", "afile/sub"],
+                            "afile/sub: afile is not a directory"),
+    "sweep-into-a-directory": (["sweep", "--c-values", "10,20", "--out", "."],
+                               ". is a directory; a sweep writes one CSV file"),
+    "sweep-below-a-file": (["sweep", "--c-values", "10,20", "--out", "afile/s.csv"],
+                           "afile/s.csv: afile is not a directory"),
+}
+
+
+@pytest.mark.parametrize("argv,ending", UNUSABLE_OUT.values(), ids=UNUSABLE_OUT)
+def test_unusable_out_is_refused_before_any_search(tmp_path, capsys, monkeypatch, argv, ending):
+    def no_search(*args):
+        raise AssertionError("a search ran before --out was checked")
+
+    monkeypatch.setattr(experiment_cli, "run_search", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {ending}\n" and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_search_requires_out(capsys):
     assert main(["search", "--C", "5"]) == 2
     assert "--out" in capsys.readouterr().err
@@ -838,16 +882,6 @@ def test_bench_format_error_names_the_file(tmp_path, capsys, content, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_interaction_scale_is_not_a_knob(tmp_path, capsys):
-    assert main(["search", "--interaction-scale", "0.4", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: unrecognized arguments: --interaction-scale 0.4\n"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("interaction_scale = 0.4\n")
-    assert main(["search", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: unknown config key 'interaction_scale' in {cfg}\n"
-    assert not (tmp_path / "o").exists()
-
-
 # Command lines refused while argparse splits them, or with their --c-values
 # list; the full line is pinned only where this package writes the message.
 BAD_COMMAND_LINES = {
@@ -855,6 +889,7 @@ BAD_COMMAND_LINES = {
     "unknown-command": (["bogus"], None),
     "unknown-flag": (["search", "--bogus", "1"], None),
     "flag-without-value": (["search", "--C"], None),
+    "flag-prefix": (["search", "--seed", "0"], "error: unrecognized arguments: --seed 0"),
     "report-without-files": (["report"], None),
     "sweep-without-c-values": (["sweep", "--out", "x.csv"], None),
     "c-values-reversed-range": (["sweep", "--c-values", "5-3", "--out", "x.csv"],

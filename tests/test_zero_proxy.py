@@ -1,7 +1,7 @@
+import itertools
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -87,11 +87,6 @@ def test_make_batch_needs_n_ge_k():
     for n in (5, 1):
         with pytest.raises(ValueError, match=f"N >= K, got N={n} K=10"):
             make_batch(ProxyConfig(batch_size=n), np.random.default_rng(0))
-
-
-def test_proxy_config_validation():
-    with pytest.raises(ValueError, match="tau must be >= 1"):
-        ProxyConfig(tau=0)
 
 
 # --- batch files -----------------------------------------------------------
@@ -257,56 +252,60 @@ def test_correlation_matches_corrcoef_oracle():
 # --- scoring ---------------------------------------------------------------
 
 
+def small_tau(tau=2):
+    """EPE-NAS's tau lowered, so a few classes reach the large-K branch."""
+    return mock.patch.object(zero_proxy, "CLASS_THRESHOLD_TAU", tau)
+
+
 def test_class_score_closed_forms():
-    config = ProxyConfig()
     ones = np.ones((2, 2))
-    assert abs(class_score(ones, 2, config) - 4 * np.log(1 + 1e-5)) <= 1e-12
+    assert abs(class_score(ones, 2) - 4 * np.log(1 + 1e-5)) <= 1e-12
     with_zero = np.array([[1.0, 0.0], [0.0, 1.0]])
     expected = 2 * np.log(1 + 1e-5) + 2 * np.log(1e-5)
-    assert abs(class_score(with_zero, 2, config) - expected) <= 1e-12
+    assert abs(class_score(with_zero, 2) - expected) <= 1e-12
 
 
 def test_class_score_large_k_normalizes_by_entries():
-    config = ProxyConfig(tau=2)
     sigma = np.random.default_rng(10).uniform(-1, 1, size=(3, 3))
     sigma = (sigma + sigma.T) / 2
     np.fill_diagonal(sigma, 1.0)
     unnormalized = np.log(np.abs(sigma) + SATURATION_T).sum()
-    assert abs(class_score(sigma, 3, config) - unnormalized / 9) <= 1e-12
+    with small_tau():
+        assert abs(class_score(sigma, 3) - unnormalized / 9) <= 1e-12
 
 
 def test_aggregate_branches():
-    config = ProxyConfig()
-    assert aggregate([-3.0, 5.0], 2, config) == 8.0
-    config2 = ProxyConfig(tau=2)
-    assert abs(aggregate([1.0, 2.0, 4.0], 3, config2) - 2.0) <= 1e-12
-    assert aggregate([5.0, 5.0, 5.0], 3, config2) == 0.0
+    assert aggregate([-3.0, 5.0], 2) == 8.0
+    with small_tau():
+        assert abs(aggregate([1.0, 2.0, 4.0], 3) - 2.0) <= 1e-12
+        assert aggregate([5.0, 5.0, 5.0], 3) == 0.0
 
 
-def _per_block_scores(rows, labels, num_classes, config):
+def _per_block_scores(rows, labels, num_classes):
     """Reference: one correlation matrix and one class_score per class block."""
-    return [class_score(correlation_matrix(block), num_classes, config)
+    return [class_score(correlation_matrix(block), num_classes)
             for block in split_by_class(rows, labels)]
 
 
-def _tolerance(ref, labels, num_classes, config):
+def _tolerance(ref, labels, num_classes):
     """1e-12 relative per class, plus 1e-15 per summed entry: a correlation is
     exact to a few ulps at best, and log(|sigma| + t) keeps that absolute
     error, which dominates when every |sigma| is ~1 and every log ~t (D=2, for
     one). z moves by at most the sum over classes."""
     entries = np.unique(labels, return_counts=True)[1] ** 2.0
-    per_class = 1e-12 * np.abs(ref) + 1e-15 * (entries if num_classes <= config.tau else 1.0)
+    large_k = num_classes > zero_proxy.CLASS_THRESHOLD_TAU
+    per_class = 1e-12 * np.abs(ref) + 1e-15 * (1.0 if large_k else entries)
     return per_class.sum()
 
 
-def _score_of_rows(rows, labels, num_classes, config):
+def _score_of_rows(rows, labels, num_classes):
     """score_architecture's z for a network whose Jacobian rows are ``rows``."""
     skeleton = SkeletonConfig(in_channels=1, image_hw=1, stem_channels=1,
                               num_classes=num_classes)
     batch = Batch(images=np.zeros((len(labels), 1, 1, 1)), labels=labels,
                   num_classes=num_classes)
     with mock.patch.object(zero_proxy, "compute_jacobian", lambda graph, b: rows):
-        return score_architecture(ALL_NONE, batch, replace(config, skeleton=skeleton)).z
+        return score_architecture(ALL_NONE, batch, ProxyConfig(skeleton=skeleton)).z
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,11 +318,10 @@ def test_one_correlation_matrix_scores_like_the_per_block_reference(seed, n, d, 
     rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     labels = rng.integers(0, num_classes, size=n)
     labels[1] = labels[0]  # a batch needs one class with two samples
-    config = ProxyConfig(tau=tau)
-    ref = _per_block_scores(rows, labels, num_classes, config)
-    z = _score_of_rows(rows, labels, num_classes, config)
-    assert abs(z - aggregate(ref, num_classes, config)) <= _tolerance(
-        ref, labels, num_classes, config)
+    with small_tau(tau):
+        ref = _per_block_scores(rows, labels, num_classes)
+        z = _score_of_rows(rows, labels, num_classes)
+        assert abs(z - aggregate(ref, num_classes)) <= _tolerance(ref, labels, num_classes)
 
 
 @pytest.mark.parametrize("tau", [1, 100])
@@ -335,13 +333,37 @@ def test_score_of_absent_single_and_unsorted_classes(case, tau):
         rows[3] = 2.0  # the lone class-1 sample
     elif case == "all zero":
         rows[:] = 0.0
-    config = ProxyConfig(tau=tau)
-    z = _score_of_rows(rows, labels, 5, config)
-    if case != "random":
-        assert z == float("-inf")
-        return
-    ref = _per_block_scores(rows, labels, 5, config)
-    assert abs(z - aggregate(ref, 5, config)) <= _tolerance(ref, labels, 5, config)
+    with small_tau(tau):
+        z = _score_of_rows(rows, labels, 5)
+        if case != "random":
+            assert z == float("-inf")
+            return
+        ref = _per_block_scores(rows, labels, 5)
+        assert abs(z - aggregate(ref, 5)) <= _tolerance(ref, labels, 5)
+
+
+@pytest.mark.parametrize("num_classes", [100, 120], ids=["CIFAR-100", "ImageNet16-120"])
+def test_class_threshold_at_real_class_counts(num_classes):
+    # Nothing patched: on a real Jacobian, CIFAR-100's 100 classes take the
+    # sum branch and ImageNet16-120's 120 the spread branch.
+    config = ProxyConfig(batch_size=2 * num_classes,
+                         skeleton=SkeletonConfig(num_classes=num_classes))
+    batch = make_batch(config, np.random.default_rng(23))
+    arch = ArchEncoding.from_index(15624)
+    z = score_architecture(arch, batch, config, np.random.default_rng(24)).z
+    rows = compute_jacobian(build_network(arch, config.skeleton, np.random.default_rng(24)),
+                            batch)
+    ref = _per_block_scores(rows, batch.labels, num_classes)
+    tolerance = _tolerance(ref, batch.labels, num_classes)
+    assert np.isfinite(z) and abs(z - aggregate(ref, num_classes)) <= tolerance
+    logs = [np.log(np.abs(correlation_matrix(block)) + SATURATION_T)
+            for block in split_by_class(rows, batch.labels)]
+    if num_classes == 100:
+        branch = sum(abs(block.sum()) for block in logs)
+    else:
+        means = [block.mean() for block in logs]
+        branch = sum(abs(a - b) for a, b in itertools.combinations(means, 2)) / num_classes
+    assert abs(z - branch) <= tolerance
 
 
 def test_score_all_none_invalid_ranks_last():
@@ -383,14 +405,13 @@ def test_scale_invariance_without_bn():
     # produces the same Jacobian and hence the same z
     batch = small_batch(seed=16)
     net = _linear_head_net(seed=17, with_relu=True)
-    config = ProxyConfig()
 
     def z_of(images):
         scaled = Batch(images=images, labels=batch.labels, num_classes=batch.num_classes)
         rows = compute_jacobian(net, scaled)
-        scores = [class_score(correlation_matrix(b), scaled.num_classes, config)
+        scores = [class_score(correlation_matrix(b), scaled.num_classes)
                   for b in split_by_class(rows, scaled.labels)]
-        return aggregate(scores, scaled.num_classes, config)
+        return aggregate(scores, scaled.num_classes)
 
     z1 = z_of(batch.images)
     for c in (0.5, 2.0):
