@@ -1,14 +1,16 @@
 """Golden digests of CLI search results.
 
 Each search below was run once and the sha256 of every per-seed result JSON,
-with the "timing" section removed and keys sorted, was recorded here. A
-refactor of the search loop or of the CLI must reproduce them exactly.
+and of the run's <method>_report.json, with the "timing" section removed and
+keys sorted, was recorded here. A refactor of the search loop or of the CLI
+must reproduce them exactly.
 
 The proxy-mode search hashes only its discrete fields (architectures,
 births, admission indices, population contents, validity flags and counts):
 the Jacobian scores depend on BLAS summation order and may move in their
 last bits on another machine, which the z checks of the benchmark cover
-with a relative tolerance instead.
+with a relative tolerance instead. Its report holds no score, only the
+best architecture's fitness and the counts, so it is hashed whole.
 """
 
 import hashlib
@@ -56,6 +58,14 @@ GOLDEN = {
     ),
 }
 
+REPORT_GOLDEN = {
+    "gea_mock": "826742795fb50ccee5cee2c588c9a64330448f24c1870f38ca9847e7f3000d57",
+    "gea_oracle": "b18bc3295fb655660d88de4d309f5a5a759cc5ff4b20aa18307ad11e8e912b79",
+    "gea_proxy": "0dcd22d79cf03df18041041643292bb098620dbabacf967622e8a0051df71e44",
+    "rea": "c8eda6a6074e044080f7f9febb350c0817e016d1d7e84a51991656b9e25ee3a0",
+    "rs": "1a19ee111b89c354f561bdd90943dc1849f0f4728e5667d00fd86d01fbd07db1",
+}
+
 
 def discrete_fields(doc: dict) -> dict:
     """The parts of a result that do not depend on floating-point proxy values."""
@@ -77,19 +87,39 @@ def discrete_fields(doc: dict) -> dict:
     }
 
 
-def digest(doc: dict, run: str) -> str:
+def digest(doc: dict, run: str = "") -> str:
     doc = {k: v for k, v in doc.items() if k != "timing"}
     if run == "gea_proxy":
         doc = discrete_fields(doc)
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def searched(tmp_path_factory):
+    """A function from a run's name to the directory its search wrote, each
+    search run once for both tests below."""
+    dirs = {}
+
+    def run_dir(run):
+        if run not in dirs:
+            dirs[run] = tmp_path_factory.mktemp(run)
+            argv = ["search", *RUNS[run], "--P", "5", "--S", "2",
+                    "--seeds", ",".join(map(str, SEEDS)), "--out", str(dirs[run])]
+            assert main(argv) == 0
+        return dirs[run]
+    return run_dir
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_search_results_match_golden_digests(run, tmp_path):
-    argv = ["search", *RUNS[run], "--P", "5", "--S", "2",
-            "--seeds", ",".join(map(str, SEEDS)), "--out", str(tmp_path)]
-    assert main(argv) == 0
+def test_search_results_match_golden_digests(run, searched):
     method = RUNS[run][1]
-    got = tuple(digest(json.loads((tmp_path / f"{method}_seed{s}.json").read_text()), run)
+    got = tuple(digest(json.loads((searched(run) / f"{method}_seed{s}.json").read_text()), run)
                 for s in SEEDS)
     assert got == GOLDEN[run]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_search_report_matches_golden_digest(run, searched):
+    method = RUNS[run][1]
+    report = json.loads((searched(run) / f"{method}_report.json").read_text())
+    assert digest(report) == REPORT_GOLDEN[run]
