@@ -5,8 +5,8 @@ Subcommands:
           seed's SearchResult JSON as its search ends, then an aggregate report.
   sweep   run gea and rea across the --c-values budgets and all seeds; write
           a CSV row of each run's bests as the run ends, for budget curves.
-  report  aggregate per-seed SearchResult JSONs into a mean +/- std table,
-          one row per method, one column group per dataset.
+  report  summarize per-seed SearchResult JSONs as search does, one row per
+          method and one column group per dataset, each cell one experiment.
 
 RunConfig holds the run's own knobs, an EvolutionConfig (C, P, S) and a
 ProxyConfig (batch_size and the network's SkeletonConfig). Each of
@@ -41,13 +41,7 @@ from .benchmark_store import (
     finite_number,
     load_jsonl,
 )
-from .guided_evolution import (
-    EvolutionConfig,
-    SearchResult,
-    run_random_baseline,
-    run_rea_baseline,
-    run_search,
-)
+from .guided_evolution import EvolutionConfig, run_random_baseline, run_rea_baseline, run_search
 from .network_builder import SkeletonConfig
 from .zero_proxy import JacobianProxySource, ProxyConfig, _keep_freed_heap, read_batch_file
 
@@ -292,50 +286,45 @@ def _searches(config: RunConfig, c_values: tuple[int, ...], methods: tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Summary
 # ---------------------------------------------------------------------------
 
 
 def mean_std(values) -> tuple[float, float]:
     """Arithmetic mean and sample (N-1) standard deviation; std 0 for N=1."""
     arr = np.asarray(values, dtype=np.float64)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
+    return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
-def aggregate_report(runs: list[tuple[SearchResult, object]]) -> dict:
-    """Mean and std over one method's (result, proxy source) runs; a seed's
-    proxy_computed counts the Jacobian scores that its source computed."""
-    results = [r for r, _ in runs]
-    val_mean, val_std = mean_std([r.best.fitness for r in results])
-    test_mean, test_std = mean_std([r.best.test_acc for r in results])
-    train_mean, _ = mean_std([r.train_seconds_total for r in results])
-    sim_mean, _ = mean_std([r.sim_time_seconds for r in results])
+def summarize(docs: list[dict], proxy_computed=None) -> dict:
+    """One method's per-seed result documents, as to_json_dict gives them and
+    report reads them, as its <method>_report.json; proxy_computed holds each
+    seed's count of scores its Jacobian source computed, which no document holds."""
+    best, sim_times = [d["best"] for d in docs], [d["timing"]["sim_time_seconds"] for d in docs]
+    val_mean, val_std = mean_std([b["val_acc"] for b in best])
+    test_mean, test_std = mean_std([b["test_acc"] for b in best])
     return {
-        "method": results[0].method,
-        "dataset": results[0].config.dataset,
-        "num_seeds": len(results),
-        "per_seed": [{"seed": r.config.seed, "val_acc": r.best.fitness,
-                      "test_acc": r.best.test_acc, "arch": str(r.best.arch),
-                      "fitness_evals": r.num_fitness_evals,
-                      "proxy_evals": r.num_proxy_evals,
-                      "proxy_computed": len(p.scores) if isinstance(p, JacobianProxySource)
-                      else 0} for r, p in runs],
+        "method": docs[0]["method"], "dataset": docs[0]["config"]["dataset"],
+        "num_seeds": len(docs),
+        "per_seed": [{"seed": d["config"]["seed"], "val_acc": b["val_acc"],
+                      "test_acc": b["test_acc"], "arch": b["arch"],
+                      "fitness_evals": d["num_fitness_evals"],
+                      "proxy_evals": d["num_proxy_evals"], "proxy_computed": computed}
+                     for d, b, computed in zip(docs, best, proxy_computed or [0] * len(docs))],
         "val_acc": {"mean": val_mean, "std": val_std},
         "test_acc": {"mean": test_mean, "std": test_std},
-        "train_seconds_total": {"mean": train_mean},
-        "timing": {"sim_time_seconds": {"mean": sim_mean},
-                   "per_seed": [r.sim_time_seconds for r in results]},
+        "train_seconds_total": {"mean": mean_std([d["train_seconds_total"] for d in docs])[0]},
+        "timing": {"sim_time_seconds": {"mean": mean_std(sim_times)[0]}, "per_seed": sim_times},
     }
 
 
 def _out_path(out: str, is_file: bool) -> Path:
-    """--out as a Path, refused before any search runs where nothing could be
-    written: a sweep's CSV must not be a directory, and the nearest existing
-    path at or above the output's directory must be one."""
+    """--out as a Path, refused before any search runs or file is read where
+    nothing could be written: a CSV file must not be a directory, and the
+    nearest existing path at or above the output's directory must be one."""
     path = Path(out)
     if is_file and path.is_dir():
-        raise CliError(f"--out {out} is a directory; a sweep writes one CSV file")
+        raise CliError(f"--out {out} is a directory, not a CSV file")
     folder = path.parent if is_file else path
     nearest = next(p for p in (folder, *folder.parents) if p.exists())
     if not nearest.is_dir():
@@ -366,13 +355,13 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_search(config: RunConfig) -> int:
     if not config.out:
         raise CliError("search requires --out DIR for result files")
-    out_dir, runs = _out_path(config.out, is_file=False), []
+    out_dir, docs, computed = _out_path(config.out, is_file=False), [], []
     for result, proxy in _searches(config, (config.evolution.C,), (config.method,)):
-        runs.append((result, proxy))  # each seed's file is written as its search ends
-        _write_json(out_dir / f"{config.method}_seed{result.config.seed}.json",
-                    result.to_json_dict())
-    _write_json(out_dir / f"{config.method}_report.json", aggregate_report(runs))
-    print(f"wrote {len(runs)} result files and {config.method}_report.json to {out_dir}")
+        docs.append(result.to_json_dict())  # each seed's file is written as its search ends
+        computed.append(len(proxy.scores) if isinstance(proxy, JacobianProxySource) else 0)
+        _write_json(out_dir / f"{config.method}_seed{result.config.seed}.json", docs[-1])
+    _write_json(out_dir / f"{config.method}_report.json", summarize(docs, computed))
+    print(f"wrote {len(docs)} result files and {config.method}_report.json to {out_dir}")
     return 0
 
 
@@ -394,59 +383,70 @@ def cmd_sweep(config: RunConfig, c_values: tuple[int, ...]) -> int:
     return 0
 
 
+# The fields of a per-seed result that summarize and report read, and their types.
+_RESULT_FIELDS = {"method": str, "config": {"dataset": str, "seed": int, "C": int, "P": int,
+                  "S": int}, "best": {"arch": str, "val_acc": float, "test_acc": float},
+                  "num_fitness_evals": int, "num_proxy_evals": int,
+                  "train_seconds_total": float, "timing": {"sim_time_seconds": float}}
+
+
+def _check_fields(doc, kinds: dict) -> None:
+    for name, kind in kinds.items():  # doc[name] raises KeyError, or TypeError if doc is no object
+        if isinstance(kind, dict):
+            _check_fields(doc[name], kind)
+        elif kind is float:
+            finite_number(name, doc[name])
+        elif type(doc[name]) is not kind:  # a bool is no int; strings label the table
+            what = "a string" if kind is str else "an integer"
+            raise ValueError(f"{name} must be {what}, got {json.dumps(doc[name])}")
+
+
 def _load_result_file(path: str) -> dict | None:
-    """One per-seed SearchResult as a report row; None for an aggregate
-    report (the <method>_report.json that search writes beside the per-seed
-    files, so a DIR/*.json glob can be reported as is)."""
+    """One per-seed SearchResult document, its _RESULT_FIELDS checked; None
+    for an aggregate report (the <method>_report.json that search writes
+    beside the per-seed files, so a DIR/*.json glob can be reported as is)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if isinstance(doc, dict) and "per_seed" in doc:
             return None
-        method, dataset = doc["method"], doc["config"]["dataset"]
-        for name, value in (("method", method), ("dataset", dataset)):
-            if not isinstance(value, str):  # both are sorted as table labels
-                raise ValueError(f"{name} must be a string, got {json.dumps(value)}")
-        return {"method": method, "dataset": dataset,
-                "val_acc": finite_number("val_acc", doc["best"]["val_acc"]),
-                "test_acc": finite_number("test_acc", doc["best"]["test_acc"]),
-                "train_seconds": finite_number("train_seconds_total",
-                                               doc["train_seconds_total"])}
+        _check_fields(doc, _RESULT_FIELDS)
+        return doc
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise CliError(f"{path}: not a SearchResult JSON file ({exc})") from None
 
 
 def cmd_report(result_files: list[str], out: str | None) -> int:
-    rows = [row for row in map(_load_result_file, result_files) if row is not None]
-    if not rows:
+    out_path = _out_path(out, is_file=True) if out else None
+    groups: dict[tuple[str, str], list[tuple[str, dict]]] = {}
+    for path in result_files:
+        if (doc := _load_result_file(path)) is None:
+            continue
+        key, config = (doc["method"], doc["config"]["dataset"]), doc["config"]
+        for seen, other in groups.setdefault(key, []):  # a seed repeated, or C, P or S changed
+            if clash := [k for k in ("C", "P", "S", "seed")
+                         if (other["config"][k] == config[k]) == (k == "seed")]:
+                raise CliError(f"{seen} and {path}: {'same' if clash[0] == 'seed' else 'different'}"
+                               f" {clash[0]}; a report cell takes distinct seeds of one C, P and S")
+        groups[key].append((path, doc))
+    if not groups:
         raise CliError("no per-seed SearchResult files to report; "
                        "aggregate report files are skipped")
-    methods = sorted({r["method"] for r in rows})
-    datasets = sorted({r["dataset"] for r in rows})
-
-    header = ["method", *(f"{ds} {col}" for ds in datasets for col in ("time", "val", "test"))]
-    table = [header]
+    methods, datasets = (sorted({key[i] for key in groups}) for i in (0, 1))
+    table = [["method", *(f"{ds} {col}" for ds in datasets for col in ("time", "val", "test"))]]
     for method in methods:
         line = [method]
-        for ds in datasets:
-            group = [r for r in rows if r["method"] == method and r["dataset"] == ds]
-            if not group:
-                line += ["-", "-", "-"]
-                continue
-            time_mean, _ = mean_std([r["train_seconds"] for r in group])
-            val_mean, val_std = mean_std([r["val_acc"] for r in group])
-            test_mean, test_std = mean_std([r["test_acc"] for r in group])
-            line += [f"{time_mean:.2f}",
-                     f"{val_mean:.2f}±{val_std:.2f}",
-                     f"{test_mean:.2f}±{test_std:.2f}"]
+        for group in (groups.get((method, ds)) for ds in datasets):
+            s = group and summarize([doc for _, doc in group])
+            line += ([f"{s['train_seconds_total']['mean']:.2f}"]
+                     + [f"{s[k]['mean']:.2f}±{s[k]['std']:.2f}" for k in ("val_acc", "test_acc")]
+                     if s else ["-", "-", "-"])
         table.append(line)
-
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    rendered = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                         for row in table)
-    print(rendered)
-    if out:
-        _write_csv(Path(out), table)
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    print("\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                    for row in table))
+    if out_path:
+        _write_csv(out_path, table)
         print(f"wrote report CSV to {out}")
     return 0
 

@@ -46,10 +46,15 @@ def strip_timing(doc):
     return doc
 
 
-def result_doc(method, dataset, val, test, train_seconds):
-    return {"method": method, "config": {"dataset": dataset},
-            "best": {"val_acc": val, "test_acc": test},
-            "train_seconds_total": train_seconds}
+def result_doc(method, dataset, val, test, train_seconds, seed=0, C=20):
+    """Every field of a per-seed result that report reads, as to_json_dict writes it."""
+    arch = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|none~0|none~1|avg_pool_3x3~2|"
+    return {"method": method, "config": {"C": C, "P": 5, "S": 2, "seed": seed, "dataset": dataset},
+            "history": [], "cycles": [],
+            "best": {"arch": arch, "val_acc": val, "test_acc": test, "birth": 0,
+                     "train_seconds": train_seconds / C, "proxy_z": None, "proxy_valid": None},
+            "num_proxy_evals": 0, "num_fitness_evals": C, "train_seconds_total": train_seconds,
+            "timing": {"proxy_wall_seconds": 0.0, "sim_time_seconds": train_seconds}}
 
 
 def test_mean_std():
@@ -185,7 +190,7 @@ def test_report_formats_mean_and_std(tmp_path, capsys):
     paths = []
     for i, val in enumerate([93.9, 94.1]):
         p = tmp_path / f"r{i}.json"
-        p.write_text(json.dumps(result_doc("rea", "cifar10", val, val, 100.0)))
+        p.write_text(json.dumps(result_doc("rea", "cifar10", val, val, 100.0, seed=i)))
         paths.append(str(p))
     assert main(["report", *paths]) == 0
     out = capsys.readouterr().out
@@ -250,25 +255,30 @@ def test_report_rejects_non_result_file(tmp_path, capsys):
 
 
 BAD_NUMBERS = {"nan": float("nan"), "inf": float("inf"), "string": "12", "bool": True}
+BAD_INTEGERS = {"float": 1.0, "string": "1", "bool": True, "null": None}
+# The object of a result document that holds each field report reads.
+FIELD_HOLDER = {"val_acc": "best", "test_acc": "best", "arch": "best", "dataset": "config",
+                "seed": "config", "C": "config", "P": "config", "S": "config",
+                "sim_time_seconds": "timing"}
 
 
-# A number field must be a finite JSON number; method and dataset label the
-# table, so they must be strings (a null beside a string broke the sort).
+# A number field must be a finite JSON number, and a count, seed or budget an
+# integer; method, dataset and arch label the table or the summary, so they
+# must be strings (a null beside a string broke the sort).
 @pytest.mark.parametrize("field,value,rule", [
     *(pytest.param(field, value, "a finite number", id=f"{field}-{name}")
-      for field in ("val_acc", "test_acc", "train_seconds_total")
+      for field in ("val_acc", "test_acc", "train_seconds_total", "sim_time_seconds")
       for name, value in BAD_NUMBERS.items()),
+    *(pytest.param(field, value, "an integer", id=f"{field}-{name}")
+      for field in ("seed", "C", "P", "S", "num_fitness_evals", "num_proxy_evals")
+      for name, value in BAD_INTEGERS.items()),
     pytest.param("method", None, "a string", id="method-null"),
     pytest.param("dataset", None, "a string", id="dataset-null"),
+    pytest.param("arch", 7, "a string", id="arch-number"),
 ])
 def test_report_rejects_a_non_finite_or_non_numeric_field(tmp_path, capsys, field, value, rule):
     doc = result_doc("rea", "cifar10", 90.0, 90.0, 100.0)
-    if field in ("train_seconds_total", "method"):
-        doc[field] = value
-    elif field == "dataset":
-        doc["config"][field] = value
-    else:
-        doc["best"][field] = value
+    (doc[FIELD_HOLDER[field]] if field in FIELD_HOLDER else doc)[field] = value
     good = tmp_path / "good.json"
     good.write_text(json.dumps(result_doc("gea", "c", 90.0, 90.0, 100.0)))
     p = tmp_path / "bad.json"
@@ -276,6 +286,67 @@ def test_report_rejects_a_non_finite_or_non_numeric_field(tmp_path, capsys, fiel
     assert main(["report", str(good), str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {p}: ") and f"{field} must be {rule}" in err
+
+
+@pytest.mark.parametrize("field", ["seed", "C", "P", "S", "num_fitness_evals", "arch",
+                                   "sim_time_seconds", "timing", "best", "config"])
+def test_report_names_the_file_missing_a_field(tmp_path, capsys, field):
+    doc = result_doc("rea", "cifar10", 90.0, 90.0, 100.0)
+    del (doc[FIELD_HOLDER[field]] if field in FIELD_HOLDER else doc)[field]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["report", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {p}: not a SearchResult JSON file ('{field}')\n"
+    assert captured.out == ""
+
+
+# Files that do not make one experiment per (method, dataset) cell: each case
+# lists (name, seed, C, P) per file, then the two files the error names and why.
+NOT_ONE_EXPERIMENT = {
+    "file-given-twice": ([("a", 0, 20, 5), ("a", 0, 20, 5), ("b", 1, 20, 5)], "a", "a",
+                         "same seed"),
+    "seed-repeated": ([("a", 0, 20, 5), ("b", 1, 20, 5), ("c", 1, 20, 5)], "b", "c",
+                      "same seed"),
+    "budgets-differ": ([("a", 0, 20, 5), ("b", 0, 10, 5)], "a", "b", "different C"),
+    "populations-differ": ([("a", 0, 20, 5), ("b", 1, 20, 4)], "a", "b", "different P"),
+}
+
+
+@pytest.mark.parametrize("files,first,second,what", NOT_ONE_EXPERIMENT.values(),
+                         ids=NOT_ONE_EXPERIMENT)
+def test_report_refuses_a_cell_that_is_not_one_experiment(tmp_path, capsys, files, first,
+                                                          second, what):
+    paths = []
+    for name, seed, C, P in files:
+        doc = result_doc("gea", "synthetic", 90.0 + seed, 80.0, 100.0, seed=seed, C=C)
+        doc["config"]["P"] = P
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        paths.append(str(tmp_path / f"{name}.json"))
+    other = tmp_path / "other.json"  # a second method is a cell of its own
+    other.write_text(json.dumps(result_doc("rea", "synthetic", 90.0, 80.0, 100.0, C=10)))
+    out = tmp_path / "t.csv"
+    assert main(["report", str(other), *paths, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    first, second = (tmp_path / f"{name}.json" for name in (first, second))
+    assert captured.err == (f"error: {first} and {second}: {what}; a report cell takes "
+                            "distinct seeds of one C, P and S\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_report_of_a_search_matches_its_summary(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["search", "--method", "gea", "--mode", "mock", "--rho", "0.5", "--C", "20",
+                 "--seeds", "0,1,2", "--out", str(out)]) == 0
+    summary = json.loads((out / "gea_report.json").read_text())
+    capsys.readouterr()
+    assert main(["report", *map(str, sorted(out.glob("*.json")))]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["method", "synthetic", "time", "synthetic", "val", "synthetic",
+                              "test"]
+    val, test = (f"{summary[k]['mean']:.2f}±{summary[k]['std']:.2f}"
+                 for k in ("val_acc", "test_acc"))
+    assert row.split() == ["gea", f"{summary['train_seconds_total']['mean']:.2f}", val, test]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -842,9 +913,14 @@ UNUSABLE_OUT = {
     "search-below-a-file": (["search", "--out", "afile/sub"],
                             "afile/sub: afile is not a directory"),
     "sweep-into-a-directory": (["sweep", "--c-values", "10,20", "--out", "."],
-                               ". is a directory; a sweep writes one CSV file"),
+                               ". is a directory, not a CSV file"),
     "sweep-below-a-file": (["sweep", "--c-values", "10,20", "--out", "afile/s.csv"],
                            "afile/s.csv: afile is not a directory"),
+    # report checks --out before it reads a file, so r.json need not exist
+    "report-into-a-directory": (["report", "r.json", "--out", "."],
+                                ". is a directory, not a CSV file"),
+    "report-below-a-file": (["report", "r.json", "--out", "afile/x.csv"],
+                            "afile/x.csv: afile is not a directory"),
 }
 
 
