@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -202,3 +203,21 @@ def enumerate_all() -> Iterator[ArchEncoding]:
 def op_index_table() -> np.ndarray:
     """(SPACE_SIZE, NUM_EDGES) int array: row i holds the op indices of cell i."""
     return np.arange(SPACE_SIZE)[:, None] // np.array(_POWERS) % NUM_OPS
+
+
+def live_index(arch: ArchEncoding) -> int:
+    """Index of ``arch`` with every dead edge set to none, the cell that builds
+    the same network: an edge is dead, adding exact zeros, when no path of
+    non-none edges runs from node 0 to its source or from its end to node 3."""
+    return _live_table()[arch.index]
+
+
+@cache
+def _live_table() -> tuple[int, ...]:
+    ops = op_index_table()
+    on = ops > 0
+    yes = np.ones(SPACE_SIZE, dtype=bool)
+    from0 = (yes, on[:, 0], on[:, 1] | on[:, 0] & on[:, 2])  # node reached from node 0
+    to3 = (None, on[:, 4] | on[:, 2] & on[:, 5], on[:, 5], yes)  # node reaches node 3
+    live = np.column_stack([from0[src] & to3[dst] for src, dst in EDGES]) & on
+    return tuple((np.where(live, ops, 0) @ np.array(_POWERS)).tolist())

@@ -9,7 +9,7 @@ exists only to be differentiated at init.
 Inside a cell, node 0 is the cell input and node j sums the realized ops
 of every edge (i, j) with i < j. Edge realizations:
   - none: contributes nothing (a node left without contributions becomes
-    an explicit zero tensor);
+    an explicit zero tensor where an edge or the next stage reads it);
   - skip_connect: the source node unchanged;
   - nor_conv_1x1 / nor_conv_3x3: ReLU -> conv -> BN;
   - avg_pool_3x3: 3x3 mean pooling.
@@ -77,8 +77,14 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
 
     ops = arch.ops
     num_cells = skeleton.num_stages * skeleton.cells_per_stage
+
+    def read(node: int) -> int:  # a node without contributions becomes zeros once read
+        if nodes[node] is None:
+            nodes[node] = graph.add("zeros", nodes[0])
+        return nodes[node]
+
     for _ in range(num_cells):
-        nodes = [cur]
+        nodes: list[int | None] = [cur]
         for node in range(1, 4):
             parts: list[int] = []
             for edge_idx, (src, dst) in enumerate(EDGES):
@@ -88,21 +94,17 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
                 if op is Operation.NONE:
                     continue
                 if op is Operation.SKIP_CONNECT:
-                    parts.append(nodes[src])
+                    parts.append(read(src))
                 elif op is Operation.AVG_POOL_3X3:
-                    parts.append(graph.add("avg_pool", nodes[src]))
+                    parts.append(graph.add("avg_pool", read(src)))
                 else:
                     k = 1 if op is Operation.NOR_CONV_1X1 else 3
-                    rid = graph.add("relu", nodes[src])
+                    rid = graph.add("relu", read(src))
                     rid = graph.add("conv", rid, weight=_he_conv(rng, cs, cs, k))
                     parts.append(graph.add("bn", rid))
-            if not parts:
-                nodes.append(graph.add("zeros", nodes[0]))
-            elif len(parts) == 1:
-                nodes.append(parts[0])
-            else:
-                nodes.append(graph.add("sum", *parts))
-        cur = nodes[3]
+            nodes.append(None if not parts else parts[0] if len(parts) == 1
+                         else graph.add("sum", *parts))
+        cur = read(3)
 
     head_w = rng.normal(0.0, np.sqrt(2.0 / cs), size=(cs, skeleton.num_classes))
     cur = graph.add("bn", cur)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch_space import ArchEncoding
+from .arch_space import ArchEncoding, live_index
 from .autodiff_core import CompGraph
 from .network_builder import SkeletonConfig, build_network
 
@@ -197,13 +197,14 @@ class JacobianProxySource:
     search loop.
 
     A batch of None is the seed's synthetic batch, make_batch drawn from
-    SeedSequence((seed, 0, 1)); a batch passed in is kept as it is. Each
-    cell is scored at one weight initialization, drawn from
-    SeedSequence((seed, 0, 2, cell index)). A score is then a function of
-    (batch, config, seed, cell) alone, so ``scores`` keeps each cell's z by
-    index and every later request of that cell, from any run handed this
-    source, is a lookup. The seed is part of the init because runs of
-    different seeds can share one file batch.
+    SeedSequence((seed, 0, 1)); a batch passed in is kept as it is. A cell is
+    scored as its live network (the cell with its dead edges pruned, index
+    arch_space.live_index) at one weight initialization, drawn from
+    SeedSequence((seed, 0, 2, live index)). A score is then a function of
+    (batch, config, seed, live network) alone, so ``scores`` keeps its z by
+    live index and every later request of a cell with that live network,
+    from any run handed this source, is a lookup. The seed is part of the
+    init because runs of different seeds can share one file batch.
     """
 
     def __init__(self, batch: Batch | None, config: ProxyConfig | None = None, seed: int = 0):
@@ -214,10 +215,11 @@ class JacobianProxySource:
         self.scores: dict[int, float] = {}
 
     def score(self, arch: ArchEncoding) -> float:
-        z = self.scores.get(arch.index)
+        live = ArchEncoding.from_index(live_index(arch))
+        z = self.scores.get(live.index)
         if z is None:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, arch.index)))
-            z = self.scores[arch.index] = score_architecture(arch, self.batch, self.config, rng).z
+            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, live.index)))
+            z = self.scores[live.index] = score_architecture(live, self.batch, self.config, rng).z
         return z
 
 

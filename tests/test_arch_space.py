@@ -17,6 +17,7 @@ from gea_nas.arch_space import (
     Operation,
     encode_str,
     enumerate_all,
+    live_index,
     mutate,
     op_index_table,
     parse_str,
@@ -242,3 +243,34 @@ def test_op_index_table_matches_enumeration():
     assert np.array_equal(table[-1], np.full(6, 4))
     for idx in (1, 77, 8123, 15624):
         assert tuple(table[idx]) == tuple(int(op) for op in ArchEncoding.from_index(idx).ops)
+
+
+def plain_dead_edges(arch: ArchEncoding) -> set[int]:
+    """Non-none edges on no path of non-none edges from node 0 to node 3,
+    found by a search from node 0 forward and from node 3 backward."""
+    on = [(e, src, dst) for e, ((src, dst), op) in enumerate(zip(EDGES, arch.ops)) if op]
+
+    def reached(start, step):
+        seen, todo = {start}, [start]
+        while todo:
+            node = todo.pop()
+            for nxt in (step(src, dst) for _, src, dst in on):
+                if nxt[0] == node and nxt[1] not in seen:
+                    seen.add(nxt[1])
+                    todo.append(nxt[1])
+        return seen
+
+    from0, to3 = reached(0, lambda s, d: (s, d)), reached(3, lambda s, d: (d, s))
+    return {e for e, src, dst in on if src not in from0 or dst not in to3}
+
+
+def test_live_index_matches_a_plain_reachability_search():
+    live = [live_index(arch) for arch in enumerate_all()]
+    assert len(set(live)) == 9445
+    for arch, index in zip(enumerate_all(), live):
+        dead = plain_dead_edges(arch)
+        ops = [Operation.NONE if e in dead else op for e, op in enumerate(arch.ops)]
+        assert index == ArchEncoding(ops).index
+        pruned = ArchEncoding.from_index(index).ops
+        assert {e for e in range(NUM_EDGES) if pruned[e] != arch.ops[e]} <= dead
+        assert live[index] == index  # idempotent: a live cell has no dead edge

@@ -11,7 +11,7 @@ import pytest
 
 import gea_nas
 from gea_nas import experiment_cli, zero_proxy
-from gea_nas.arch_space import encode_str, enumerate_all, parse_str
+from gea_nas.arch_space import ArchEncoding, encode_str, enumerate_all, live_index, parse_str
 from gea_nas.benchmark_store import BenchRecord, SyntheticLandscape
 from gea_nas.experiment_cli import _OPTIONS, build_parser, build_run_config, main, mean_std
 from gea_nas.zero_proxy import (
@@ -136,22 +136,25 @@ TINY_SWEEP = SWEEP + TINY_PROXY
 
 
 def test_sweep_computes_each_seed_cell_once(tmp_path, monkeypatch):
-    requests, computed = [], []
+    requests, computed, sources = [], [], {}
     score, score_architecture = zero_proxy.JacobianProxySource.score, zero_proxy.score_architecture
 
     def recording_score(self, arch):
         requests.append((self.seed, arch.index))
+        sources[self.seed] = self
         return score(self, arch)
 
     def counting_score_architecture(arch, *args):
-        computed.append(arch.index)
+        computed.append((requests[-1][0], arch.index))  # the requesting source's seed
         return score_architecture(arch, *args)
 
     monkeypatch.setattr(zero_proxy.JacobianProxySource, "score", recording_score)
     monkeypatch.setattr(zero_proxy, "score_architecture", counting_score_architecture)
     assert main(TINY_SWEEP + ["--mode", "proxy", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(requests) > len(set(requests))  # the budgets share cells
-    assert len(computed) == len(set(requests))
+    live = {(seed, live_index(ArchEncoding.from_index(i))) for seed, i in requests}
+    assert sorted(computed) == sorted(live)  # each seed's live network computed once
+    assert sum(len(source.scores) for source in sources.values()) == len(live)
 
 
 @pytest.mark.parametrize("mode,source", [("proxy", "JacobianProxySource"),
@@ -937,6 +940,24 @@ def test_unusable_out_is_refused_before_any_search(tmp_path, capsys, monkeypatch
     assert captured.err == f"error: --out {ending}\n" and captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
     assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out", ["victim.json", "./sub/../victim.json", "link.json"])
+def test_report_refuses_to_overwrite_a_result_it_reads(tmp_path, capsys, monkeypatch, out):
+    def no_read(path):
+        raise AssertionError("a result file was read before --out was checked")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    victim = tmp_path / "victim.json"
+    victim.write_text(json.dumps(result_doc("gea", "cifar10", 90.0, 89.0, 100.0)))
+    (tmp_path / "link.json").symlink_to(victim)
+    kept = victim.read_bytes()
+    monkeypatch.setattr(experiment_cli, "_load_result_file", no_read)
+    assert main(["report", "other.json", "victim.json", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out} is one of the result files to report\n"
+    assert captured.out == "" and victim.read_bytes() == kept
 
 
 def test_search_requires_out(capsys):

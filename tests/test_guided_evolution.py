@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea_nas import zero_proxy
-from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, random_arch
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, live_index, random_arch
 from gea_nas.benchmark_store import OracleProxySource, SyntheticLandscape
 from gea_nas.guided_evolution import (
     EvaluatedModel,
@@ -318,11 +318,12 @@ def test_cached_scores_equal_fresh_scores(seed, p, extra):
     children = [c for log in result.cycle_log for c in log.children]
     for item in [*result.history, *children]:
         assert item.proxy == fresh.score(item.arch)
-    requested = [random_arch(_rng(seed, 1, i)).index for i in range(config.C)]
-    requested += [c.arch.index for c in children]
+    requested = [random_arch(_rng(seed, 1, i)) for i in range(config.C)]
+    requested += [c.arch for c in children]
     assert result.num_proxy_evals == len(requested)
-    assert sorted(computed) == sorted(set(requested))  # each cell computed once
-    assert len(proxy.scores) == len(set(requested))
+    live = {live_index(a) for a in requested}
+    assert sorted(computed) == sorted(live)  # each live network computed once
+    assert len(proxy.scores) == len(live)
 
 
 def test_rea_baseline_shape():

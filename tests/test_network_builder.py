@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gea_nas.arch_space import ArchEncoding, Operation, random_arch
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, live_index, random_arch
 from gea_nas.network_builder import SkeletonConfig, build_network
 
 from grad_helpers import forward_maps
@@ -122,6 +122,22 @@ def test_isolated_node_becomes_zeros():
     assert kinds["zeros"] >= 1
     out = net.forward(np.random.default_rng(4).normal(size=(2, 3, 8, 8)))
     assert np.array_equal(out, np.zeros_like(out))
+
+
+def test_a_live_cell_builds_only_records_that_reach_the_logits():
+    # graph build only, on a 1x1 input so the weight draws cost little
+    skeleton = SkeletonConfig(in_channels=1, image_hw=1, stem_channels=1)
+    for index in set(map(live_index, map(ArchEncoding.from_index, range(SPACE_SIZE)))):
+        records = build_network(ArchEncoding.from_index(index), skeleton).records
+        reached, todo = {len(records) - 1}, [len(records) - 1]
+        while todo:
+            for i in records[todo.pop()].inputs:
+                if i not in reached:
+                    reached.add(i)
+                    todo.append(i)
+        assert reached == set(range(len(records))), index
+        node3_live = any(ArchEncoding.from_index(index).ops[3:])
+        assert any(r.kind == "zeros" for r in records) == (not node3_live), index
 
 
 def test_forward_finite_logits_random_archs():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea_nas import zero_proxy
-from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, random_arch
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, live_index, random_arch
 from gea_nas.autodiff_core import CompGraph
 from gea_nas.network_builder import SkeletonConfig, build_network
 from gea_nas.zero_proxy import (
@@ -450,6 +450,31 @@ def test_jacobian_proxy_source_matches_direct_call():
         assert drawn.images.tobytes() == expected.images.tobytes()
         assert drawn.labels.tobytes() == expected.labels.tobytes()
         assert drawn.num_classes == expected.num_classes
+
+
+NO, SK, C1, C3, AP = tuple(Operation)
+# Each pair builds one network: the first cell adds one or two dead edges.
+SAME_LIVE_NETWORK = {
+    "conv-into-a-dead-end": ((C3, NO, NO, C1, NO, NO), (NO, NO, NO, C1, NO, NO)),
+    "pool-into-a-dead-end": ((NO, AP, NO, C3, NO, NO), (NO, NO, NO, C3, NO, NO)),
+    "out-of-an-unreachable-node": ((NO, SK, SK, NO, C3, C1), (NO, SK, NO, NO, NO, C1)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SAME_LIVE_NETWORK))
+def test_cells_of_one_live_network_share_one_score(pair, monkeypatch):
+    a, b = (ArchEncoding(ops) for ops in SAME_LIVE_NETWORK[pair])
+    assert a != b and live_index(a) == live_index(b)
+    computed, score = [], zero_proxy.score_architecture
+    monkeypatch.setattr(zero_proxy, "score_architecture",
+                        lambda arch, *args: computed.append(arch.index) or score(arch, *args))
+    zs = []
+    for first, second in ((a, b), (b, a)):  # the z must not depend on which comes first
+        source = JacobianProxySource(small_batch(seed=22), small_config(), seed=5)
+        zs += [np.float64(source.score(first)).tobytes(), np.float64(source.score(second)).tobytes()]
+        assert list(source.scores) == [live_index(a)]
+    assert np.isfinite(np.frombuffer(zs[0])).all() and len(set(zs)) == 1
+    assert computed == [live_index(a)] * 2  # once per source
 
 
 @settings(max_examples=20, deadline=None)
