@@ -52,16 +52,16 @@ GOLDEN = {
         "44c3b333ff3d4c7864f674560a0cdf852ff116a6341c377a06610b34ed3e4ae9",
     ),
     "gea_proxy": (
-        "7bfe53363693ac566d3ba84069dad6f145f3e289485fed34a3e920c850a12a5d",
-        "b6c46cc1b46f2abec23e7efc7dd4d9998c2ae7ec4a036a363e3681833b9b70e0",
-        "8dc329b49696b62796c00eb4c07196c9db233fb0e2fae86e87c8b50b75266550",
+        "67d0a3866bfe31da3b91c90ade2fa47a81ff5e879cda3bfadab849b44335102e",
+        "d9ca03b3fa8b8392b255a9a3ecd4cafa9be508c5a4eb3c2baa11a0de8471a7c1",
+        "78ec4a3a7ea57237f5b3f8dd6a4a5d123beab1c53fc2734cdb2a82fc6905f1c0",
     ),
 }
 
 REPORT_GOLDEN = {
     "gea_mock": "826742795fb50ccee5cee2c588c9a64330448f24c1870f38ca9847e7f3000d57",
     "gea_oracle": "b18bc3295fb655660d88de4d309f5a5a759cc5ff4b20aa18307ad11e8e912b79",
-    "gea_proxy": "0dcd22d79cf03df18041041643292bb098620dbabacf967622e8a0051df71e44",
+    "gea_proxy": "5682c7f16cb61930531862c6352c09a49109c8e21a7a2527894addebf73a19e7",
     "rea": "c8eda6a6074e044080f7f9febb350c0817e016d1d7e84a51991656b9e25ee3a0",
     "rs": "1a19ee111b89c354f561bdd90943dc1849f0f4728e5667d00fd86d01fbd07db1",
 }
