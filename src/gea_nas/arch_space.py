@@ -220,4 +220,4 @@ def _live_table() -> tuple[int, ...]:
     from0 = (yes, on[:, 0], on[:, 1] | on[:, 0] & on[:, 2])  # node reached from node 0
     to3 = (None, on[:, 4] | on[:, 2] & on[:, 5], on[:, 5], yes)  # node reaches node 3
     live = np.column_stack([from0[src] & to3[dst] for src, dst in EDGES]) & on
-    return tuple((np.where(live, ops, 0) @ np.array(_POWERS)).tolist())
+    return tuple(((ops * live) @ np.array(_POWERS)).tolist())

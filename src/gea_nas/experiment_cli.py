@@ -418,7 +418,8 @@ def _load_result_file(path: str) -> dict | None:
 
 def cmd_report(result_files: list[str], out: str | None) -> int:
     out_path = _out_path(out, is_file=True) if out else None
-    if out_path and out_path.resolve() in {Path(f).resolve() for f in result_files}:
+    if out_path and out_path.exists() and any(
+            out_path.samefile(f) for f in result_files if Path(f).exists()):
         raise CliError(f"--out {out} is one of the result files to report")
     groups: dict[tuple[str, str], list[tuple[str, dict]]] = {}
     for path in result_files:

@@ -198,13 +198,12 @@ class JacobianProxySource:
 
     A batch of None is the seed's synthetic batch, make_batch drawn from
     SeedSequence((seed, 0, 1)); a batch passed in is kept as it is. A cell is
-    scored as its live network (the cell with its dead edges pruned, index
-    arch_space.live_index) at one weight initialization, drawn from
-    SeedSequence((seed, 0, 2, live index)). A score is then a function of
-    (batch, config, seed, live network) alone, so ``scores`` keeps its z by
-    live index and every later request of a cell with that live network,
-    from any run handed this source, is a lookup. The seed is part of the
-    init because runs of different seeds can share one file batch.
+    scored as its live network (its dead edges pruned, arch_space.live_index)
+    at one weight init, drawn from SeedSequence((seed, 0, 2, live index)), so
+    a score is a function of (batch, config, seed, live network) alone:
+    ``scores`` keeps each z by live index, and every later request of a cell
+    with that network, from any run handed this source, is a lookup. The seed
+    is in the init because runs of different seeds can share one file batch.
     """
 
     def __init__(self, batch: Batch | None, config: ProxyConfig | None = None, seed: int = 0):

@@ -250,17 +250,18 @@ def plain_dead_edges(arch: ArchEncoding) -> set[int]:
     found by a search from node 0 forward and from node 3 backward."""
     on = [(e, src, dst) for e, ((src, dst), op) in enumerate(zip(EDGES, arch.ops)) if op]
 
-    def reached(start, step):
+    def reached(start, arcs):
         seen, todo = {start}, [start]
         while todo:
             node = todo.pop()
-            for nxt in (step(src, dst) for _, src, dst in on):
-                if nxt[0] == node and nxt[1] not in seen:
-                    seen.add(nxt[1])
-                    todo.append(nxt[1])
+            for a, b in arcs:
+                if a == node and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
         return seen
 
-    from0, to3 = reached(0, lambda s, d: (s, d)), reached(3, lambda s, d: (d, s))
+    from0 = reached(0, [(src, dst) for _, src, dst in on])
+    to3 = reached(3, [(dst, src) for _, src, dst in on])
     return {e for e, src, dst in on if src not in from0 or dst not in to3}
 
 

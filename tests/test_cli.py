@@ -942,7 +942,7 @@ def test_unusable_out_is_refused_before_any_search(tmp_path, capsys, monkeypatch
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("out", ["victim.json", "./sub/../victim.json", "link.json"])
+@pytest.mark.parametrize("out", ["victim.json", "./sub/../victim.json", "link.json", "hard.json"])
 def test_report_refuses_to_overwrite_a_result_it_reads(tmp_path, capsys, monkeypatch, out):
     def no_read(path):
         raise AssertionError("a result file was read before --out was checked")
@@ -952,6 +952,7 @@ def test_report_refuses_to_overwrite_a_result_it_reads(tmp_path, capsys, monkeyp
     victim = tmp_path / "victim.json"
     victim.write_text(json.dumps(result_doc("gea", "cifar10", 90.0, 89.0, 100.0)))
     (tmp_path / "link.json").symlink_to(victim)
+    (tmp_path / "hard.json").hardlink_to(victim)
     kept = victim.read_bytes()
     monkeypatch.setattr(experiment_cli, "_load_result_file", no_read)
     assert main(["report", "other.json", "victim.json", "--out", out]) == 2
