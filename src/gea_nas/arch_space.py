@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from array import array
 from functools import cache
 from typing import Iterator, Sequence
 
@@ -213,11 +214,11 @@ def live_index(arch: ArchEncoding) -> int:
 
 
 @cache
-def _live_table() -> tuple[int, ...]:
+def _live_table() -> array:  # 16-bit entries, 31 KiB; a tuple of ints would take ~0.5 MiB
     ops = op_index_table()
     on = ops > 0
     yes = np.ones(SPACE_SIZE, dtype=bool)
     from0 = (yes, on[:, 0], on[:, 1] | on[:, 0] & on[:, 2])  # node reached from node 0
     to3 = (None, on[:, 4] | on[:, 2] & on[:, 5], on[:, 5], yes)  # node reaches node 3
     live = np.column_stack([from0[src] & to3[dst] for src, dst in EDGES]) & on
-    return tuple(((ops * live) @ np.array(_POWERS)).tolist())
+    return array("H", ((ops * live) @ np.array(_POWERS)).astype(np.uint16).tobytes())

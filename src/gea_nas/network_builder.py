@@ -7,13 +7,13 @@ channel width; there are no reduction blocks and no training, the network
 exists only to be differentiated at init.
 
 Inside a cell, node 0 is the cell input and node j sums the realized ops
-of every edge (i, j) with i < j. Edge realizations:
-  - none: contributes nothing (a node left without contributions becomes
-    an explicit zero tensor where an edge or the next stage reads it);
+of every live edge (i, j) with i < j (arch_space.live_index; a dead edge
+adds exact zeros and gets no record). Edge realizations:
+  - none: contributes nothing;
   - skip_connect: the source node unchanged;
   - nor_conv_1x1 / nor_conv_3x3: ReLU -> conv -> BN;
   - avg_pool_3x3: 3x3 mean pooling.
-The cell output is node 3.
+The cell output is node 3, a zero tensor when no live edge reaches it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch_space import EDGES, ArchEncoding, Operation
+from .arch_space import EDGES, ArchEncoding, Operation, live_index
 from .autodiff_core import CompGraph
 
 
@@ -63,8 +63,8 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
     """Construct the scoring network for ``arch``; its records hold the weights.
 
     Deterministic: weights are drawn from ``rng`` in a fixed order (stem,
-    then cells in depth order with edges in index order, then head), and
-    ``rng`` defaults to ``default_rng(0)``.
+    then cells in depth order with every conv edge, dead or live, in index
+    order, then head), and ``rng`` defaults to ``default_rng(0)``.
     """
     skeleton = skeleton if skeleton is not None else SkeletonConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -76,35 +76,31 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
     cur = graph.add("bn", cur)
 
     ops = arch.ops
+    live_ops = ArchEncoding.from_index(live_index(arch)).ops
     num_cells = skeleton.num_stages * skeleton.cells_per_stage
 
-    def read(node: int) -> int:  # a node without contributions becomes zeros once read
-        if nodes[node] is None:
-            nodes[node] = graph.add("zeros", nodes[0])
-        return nodes[node]
-
     for _ in range(num_cells):
-        nodes: list[int | None] = [cur]
+        nodes = [cur]
         for node in range(1, 4):
             parts: list[int] = []
-            for edge_idx, (src, dst) in enumerate(EDGES):
+            for (src, dst), op, live in zip(EDGES, ops, live_ops):
                 if dst != node:
                     continue
-                op = ops[edge_idx]
-                if op is Operation.NONE:
+                if op is Operation.NOR_CONV_1X1 or op is Operation.NOR_CONV_3X3:  # dead too
+                    weight = _he_conv(rng, cs, cs, 1 if op is Operation.NOR_CONV_1X1 else 3)
+                if live is Operation.NONE:
                     continue
                 if op is Operation.SKIP_CONNECT:
-                    parts.append(read(src))
+                    parts.append(nodes[src])
                 elif op is Operation.AVG_POOL_3X3:
-                    parts.append(graph.add("avg_pool", read(src)))
+                    parts.append(graph.add("avg_pool", nodes[src]))
                 else:
-                    k = 1 if op is Operation.NOR_CONV_1X1 else 3
-                    rid = graph.add("relu", read(src))
-                    rid = graph.add("conv", rid, weight=_he_conv(rng, cs, cs, k))
+                    rid = graph.add("relu", nodes[src])
+                    rid = graph.add("conv", rid, weight=weight)
                     parts.append(graph.add("bn", rid))
             nodes.append(None if not parts else parts[0] if len(parts) == 1
                          else graph.add("sum", *parts))
-        cur = read(3)
+        cur = nodes[3] if nodes[3] is not None else graph.add("zeros", cur)
 
     head_w = rng.normal(0.0, np.sqrt(2.0 / cs), size=(cs, skeleton.num_classes))
     cur = graph.add("bn", cur)

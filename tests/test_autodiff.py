@@ -477,30 +477,37 @@ def test_forward_deterministic():
     assert np.array_equal(g1.forward(x), g2.forward(x))
 
 
-# Node 1 gets no edge (a zeros record); nodes 2 and 3 sum a pool, a skip and
-# both conv kernels.
-EVERY_OP = ArchEncoding((Operation.NONE, Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3,
-                         Operation.SKIP_CONNECT, Operation.NOR_CONV_1X1, Operation.NOR_CONV_3X3))
+# Every op, each on a live edge: node 1 is a skip of node 0, node 2 sums a 3x3
+# conv and a pool, node 3 sums a 1x1 and a 3x3 conv.
+EVERY_OP = ArchEncoding((Operation.SKIP_CONNECT, Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3,
+                         Operation.NOR_CONV_1X1, Operation.NONE, Operation.NOR_CONV_3X3))
+# No path from node 0 to node 3: every edge is dead and the cell output is a
+# zeros record.
+NO_PATH = ArchEncoding((Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3, Operation.SKIP_CONNECT,
+                        Operation.NONE, Operation.NONE, Operation.NONE))
 
 
 @pytest.mark.parametrize("skeleton", [SkeletonConfig(), SkeletonConfig(num_stages=2,
                                                                        cells_per_stage=2)],
                          ids=["default", "2-stage-2-cell"])
 def test_every_feature_map_is_contiguous_channel_major(skeleton):
-    graph = build_network(EVERY_OP, skeleton, np.random.default_rng(18))
     n = 5
     x = np.random.default_rng(19).normal(size=(n,) + skeleton.input_shape)
-    logits, outs = forward_maps(graph, x)
-    assert logits.shape == (n, skeleton.num_classes)
-    maps = [out for out in outs if out.ndim == 4]
-    assert {rec.kind for rec, out in zip(graph.records, outs) if out.ndim == 4} == {
-        "input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
-    for out in maps:
-        assert out.flags.c_contiguous and out.shape[-1] == n
-    assert graph.backward_to_input().shape == x.shape
+    kinds = set()
+    for arch in (EVERY_OP, NO_PATH):
+        graph = build_network(arch, skeleton, np.random.default_rng(18))
+        logits, outs = forward_maps(graph, x)
+        assert logits.shape == (n, skeleton.num_classes)
+        maps = [out for out in outs if out.ndim == 4]
+        kinds |= {rec.kind for rec, out in zip(graph.records, outs) if out.ndim == 4}
+        for out in maps:
+            assert out.flags.c_contiguous and out.shape[-1] == n
+        assert graph.backward_to_input().shape == x.shape
+    assert kinds == {"input", "conv", "bn", "relu", "avg_pool", "sum", "zeros"}
 
 
-# Nodes 1 and 2 feed nothing: their edges' maps have no reader at all.
+# Nodes 1 and 2 feed nothing, so their edges are dead and get no record; the
+# cell is the stem's map through one skip.
 DEAD_NODES = ArchEncoding((Operation.NOR_CONV_3X3, Operation.AVG_POOL_3X3, Operation.NONE,
                            Operation.SKIP_CONNECT, Operation.NONE, Operation.NONE))
 

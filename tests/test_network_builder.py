@@ -14,12 +14,13 @@ ALL_3X3 = ArchEncoding((Operation.NOR_CONV_3X3,) * 6)
 
 
 def expected_param_count(arch: ArchEncoding, sk: SkeletonConfig) -> int:
-    """Independent bookkeeping: stem conv + one conv per conv edge per cell
-    + classifier. Only convs and the bias-free linear head carry parameters."""
+    """Independent bookkeeping: stem conv + one conv per live conv edge per
+    cell + classifier. Only convs and the bias-free linear head carry
+    parameters, and a dead edge gets no record."""
     cs = sk.stem_channels
     total = cs * sk.in_channels * 9  # stem 3x3, no bias
     per_cell = 0
-    for op in arch.ops:
+    for op in ArchEncoding.from_index(live_index(arch)).ops:
         if op is Operation.NOR_CONV_1X1:
             per_cell += cs * cs
         elif op is Operation.NOR_CONV_3X3:
@@ -113,8 +114,9 @@ def test_none_edge_differs_only_by_branch():
 
 
 def test_isolated_node_becomes_zeros():
-    # node 1 unreachable (edge 0 none) while node 3 still reads it: the
-    # builder must substitute an explicit zero tensor, not crash
+    # node 1 unreachable (edge 0 none), so node 3's one edge, a skip from
+    # node 1, is dead: node 3 gets no live edge and the builder substitutes
+    # an explicit zero tensor for the cell output, not a crash
     arch = ArchEncoding((Operation.NONE, Operation.NONE, Operation.NONE,
                          Operation.NONE, Operation.SKIP_CONNECT, Operation.NONE))
     net = build_network(arch)
@@ -125,19 +127,41 @@ def test_isolated_node_becomes_zeros():
 
 
 def test_a_live_cell_builds_only_records_that_reach_the_logits():
-    # graph build only, on a 1x1 input so the weight draws cost little
+    # every cell, live or not, builds its live network: graph build only, on
+    # a 1x1 input so the weight draws cost little
     skeleton = SkeletonConfig(in_channels=1, image_hw=1, stem_channels=1)
-    for index in set(map(live_index, map(ArchEncoding.from_index, range(SPACE_SIZE)))):
-        records = build_network(ArchEncoding.from_index(index), skeleton).records
+    for arch in map(ArchEncoding.from_index, range(SPACE_SIZE)):
+        records = build_network(arch, skeleton).records
         reached, todo = {len(records) - 1}, [len(records) - 1]
         while todo:
             for i in records[todo.pop()].inputs:
                 if i not in reached:
                     reached.add(i)
                     todo.append(i)
-        assert reached == set(range(len(records))), index
-        node3_live = any(ArchEncoding.from_index(index).ops[3:])
-        assert any(r.kind == "zeros" for r in records) == (not node3_live), index
+        assert reached == set(range(len(records))), arch
+        node3_live = any(ArchEncoding.from_index(live_index(arch)).ops[3:])
+        assert any(r.kind == "zeros" for r in records) == (not node3_live), arch
+
+
+def test_a_dead_conv_edge_draws_its_weights_but_gets_no_record():
+    # node 1 gets no edge, so the 3x3 conv on edge (1, 2) is forward-dead:
+    # its tensor is drawn between the live 1x1 on edge (0, 2) and the live
+    # 3x3 on edge (2, 3), and the 3x3 holds the tensor drawn after it
+    arch = ArchEncoding((Operation.NONE, Operation.NOR_CONV_1X1, Operation.NOR_CONV_3X3,
+                         Operation.NONE, Operation.NONE, Operation.NOR_CONV_3X3))
+    sk = SkeletonConfig()
+    cs = sk.stem_channels
+    draws = np.random.default_rng(11)
+    expected = [draws.normal(0.0, np.sqrt(2.0 / (cin * k * k)), size=(cs, cin, k, k))
+                for cin, k in ((sk.in_channels, 3), (cs, 1), (cs, 3), (cs, 3))]
+    del expected[2]  # the dead edge's tensor
+    net = build_network(arch, sk, np.random.default_rng(11))
+    convs = [r.weight for r in net.records if r.kind == "conv"]
+    assert len(convs) == len(expected) == 3
+    for got, want in zip(convs, expected):
+        assert np.array_equal(got, want)
+    head_w = draws.normal(0.0, np.sqrt(2.0 / cs), size=(cs, sk.num_classes))
+    assert np.array_equal(net.records[-1].weight, head_w)
 
 
 def test_forward_finite_logits_random_archs():
