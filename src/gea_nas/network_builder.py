@@ -86,7 +86,7 @@ def build_network(arch: ArchEncoding, skeleton: SkeletonConfig | None = None,
             for (src, dst), op, live in zip(EDGES, ops, live_ops):
                 if dst != node:
                     continue
-                if op is Operation.NOR_CONV_1X1 or op is Operation.NOR_CONV_3X3:  # dead too
+                if op is Operation.NOR_CONV_1X1 or op is Operation.NOR_CONV_3X3:  # dead or live
                     weight = _he_conv(rng, cs, cs, 1 if op is Operation.NOR_CONV_1X1 else 3)
                 if live is Operation.NONE:
                     continue
