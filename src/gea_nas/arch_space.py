@@ -202,8 +202,10 @@ def enumerate_all() -> Iterator[ArchEncoding]:
 
 
 def op_index_table() -> np.ndarray:
-    """(SPACE_SIZE, NUM_EDGES) int array: row i holds the op indices of cell i."""
-    return np.arange(SPACE_SIZE)[:, None] // np.array(_POWERS) % NUM_OPS
+    """(SPACE_SIZE, NUM_EDGES) uint8 array: row i holds the op indices of cell i.
+    Built in uint16, so no step allocates an int64 temporary."""
+    index = np.arange(SPACE_SIZE, dtype=np.uint16)[:, None]
+    return (index // np.array(_POWERS, dtype=np.uint16) % NUM_OPS).astype(np.uint8)
 
 
 def live_index(arch: ArchEncoding) -> int:
@@ -221,4 +223,5 @@ def _live_table() -> array:  # 16-bit entries, 31 KiB; a tuple of ints would tak
     from0 = (yes, on[:, 0], on[:, 1] | on[:, 0] & on[:, 2])  # node reached from node 0
     to3 = (None, on[:, 4] | on[:, 2] & on[:, 5], on[:, 5], yes)  # node reaches node 3
     live = np.column_stack([from0[src] & to3[dst] for src, dst in EDGES]) & on
-    return array("H", ((ops * live) @ np.array(_POWERS)).astype(np.uint16).tobytes())
+    # uint8 ops and uint16 powers: the largest index, 15624, fits the uint16 product
+    return array("H", ((ops * live) @ np.array(_POWERS, dtype=np.uint16)).tobytes())

@@ -209,6 +209,9 @@ class OracleProxySource:
         val, _, _ = self._source.evaluate(arch, self._dataset)
         return float(val)
 
+    def score_all(self, archs) -> list[float]:
+        return [self.score(arch) for arch in archs]  # through score, which a tracer may wrap
+
 
 class NoisyProxySource:
     """Proxy with a calibrated Spearman correlation against a landscape.
@@ -268,3 +271,6 @@ class NoisyProxySource:
 
     def score(self, arch: ArchEncoding) -> float:
         return float(self.values[arch.index])
+
+    def score_all(self, archs) -> list[float]:
+        return [self.score(arch) for arch in archs]

@@ -273,16 +273,24 @@ def _proxy_sources(config: RunConfig, fitness, dataset: str) -> dict:
 def _searches(config: RunConfig, c_values: tuple[int, ...], methods: tuple[str, ...]):
     """Each (C, seed, method) search of a command, in that order, with its
     seed's proxy source (None without gea). Every source is built before the
-    first search, so bad inputs fail before any output."""
+    first search, so bad inputs fail before any output. A Jacobian source's
+    helper processes end with each run, however it ends, so at most one set
+    is alive and none outlives the command."""
     fitness, dataset = _fitness_source(config)
     proxies = _proxy_sources(config, fitness, dataset) if "gea" in methods else {}
     for C in c_values:
         for seed in config.seeds:
             evo = replace(config.evolution, C=C, seed=seed, dataset=dataset)
+            proxy = proxies.get(seed)
             for method in methods:  # runner names resolve per call, so wrappers see them
-                yield (run_search(evo, proxies[seed], fitness) if method == "gea" else
-                       run_rea_baseline(evo, fitness) if method == "rea" else
-                       run_random_baseline(evo, fitness)), proxies.get(seed)
+                try:
+                    result = (run_search(evo, proxy, fitness) if method == "gea" else
+                              run_rea_baseline(evo, fitness) if method == "rea" else
+                              run_random_baseline(evo, fitness))
+                finally:
+                    if isinstance(proxy, JacobianProxySource):
+                        proxy.close()
+                yield result, proxy
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,13 @@ would be one stream, and splits a seed of 2**32 or more into two words, so
 run and landscape seeds must lie in [0, 2**32). No two keys here meet unless
 a run reaches cycle 830199, whose child 0 has the key of landscape s. The
 proxy takes no generator: a score is a float (-inf for an invalid cell) and a
-function of the cell; whether a source caches it is the source's affair, and
-the loop counts and times every request.
+function of the cell. The loop hands the proxy whole batches, the C
+candidates in one score_all call and each cycle's P children in one more, so
+a source may score a batch's cells in parallel (zero_proxy's Jacobian source
+does); since every candidate and child has its own stream, building a batch
+before scoring it draws exactly what scoring cell by cell would. Whether a
+source caches scores is its affair: the loop counts every cell requested
+(num_proxy_evals) and times every batch (proxy_wall_seconds, wall time).
 Validation accuracy is the only fitness the loop ever reads; test accuracy
 is carried through untouched for reporting.
 """
@@ -43,9 +48,10 @@ from .arch_space import ArchEncoding, mutate, random_arch
 
 
 class ProxySource(Protocol):
-    """Scores a cell (-inf: invalid); a cell always gets the same score."""
+    """Scores a batch of cells, in order (-inf: invalid); a cell always gets
+    the same score."""
 
-    def score(self, arch: ArchEncoding) -> float: ...
+    def score_all(self, archs: Sequence[ArchEncoding]) -> list[float]: ...
 
 
 class FitnessSource(Protocol):
@@ -192,16 +198,17 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     proxy_wall = 0.0
     num_proxy = 0
 
-    def scored(arch: ArchEncoding) -> Optional[float]:
-        """The cell's score, its request counted and timed."""
+    def scored(archs: list[ArchEncoding]) -> list:
+        """The cells paired with their scores (None without a proxy), the
+        batch's requests counted and its call timed."""
         nonlocal proxy_wall, num_proxy
         if proxy is None:
-            return None
-        num_proxy += 1
+            return [(arch, None) for arch in archs]
+        num_proxy += len(archs)
         tic = time.perf_counter()
-        s = proxy.score(arch)
+        scores = proxy.score_all(archs)
         proxy_wall += time.perf_counter() - tic
-        return s
+        return list(zip(archs, scores))
 
     history: list[EvaluatedModel] = []
 
@@ -211,10 +218,7 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
                                birth=len(history), train_seconds=secs, proxy=score)
         history.append(model)
 
-    candidates = []
-    for i in range(pool):
-        arch = random_arch(_rng(config.seed, 1, i))
-        candidates.append((arch, scored(arch)))
+    candidates = scored([random_arch(_rng(config.seed, 1, i)) for i in range(pool)])
     kept = range(keep)
     if proxy is not None:
         order = sorted(range(pool), key=lambda i: candidates[i][1], reverse=True)
@@ -227,10 +231,8 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     while len(history) < config.C:
         cycle = len(cycle_log)
         parent = tournament_select(history[-keep:], config.S, main_rng)
-        logs = []
-        for j in range(children):
-            child = mutate(parent.arch, _rng(config.seed, 2 + cycle, j))
-            logs.append(ChildLog(child, scored(child)))
+        logs = [ChildLog(*pair) for pair in scored(
+            [mutate(parent.arch, _rng(config.seed, 2 + cycle, j)) for j in range(children)])]
         # Best proxy score (an invalid child's -inf loses to any valid one),
         # earlier child winning ties.
         best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy)

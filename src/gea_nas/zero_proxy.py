@@ -13,7 +13,13 @@ able to score any child it generates, and invalid scores rank last.
 from __future__ import annotations
 
 import ctypes
+import os
+import signal
 import struct
+import sys
+import tempfile
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -192,6 +198,57 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
     return ProxyScore(z=z) if np.isfinite(z) else INVALID_SCORE
 
 
+@cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy has
+    loaded, found by their symbols in each mapped library named *blas*, or
+    None where there is no such library or no /proc/self/maps."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines()
+                        if "blas" in line.lower() and line.split()[-1].startswith("/")}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes, put.argtypes = ctypes.c_int, [], [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, restoring its count after;
+    yields whether the count could be set. One thread keeps scoring processes
+    from oversubscribing the cores, and fixes how a threaded OpenBLAS ddot
+    splits a sum longer than 10000 (a batch norm over H*W*N > 10000), so a
+    score does not depend on the thread count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def _spare_cpus() -> int:
+    """CPUs this process may run on beyond its own; 0 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
 class JacobianProxySource:
     """score_architecture bound to a fixed batch and run seed, shaped for the
     search loop.
@@ -206,6 +263,14 @@ class JacobianProxySource:
     the cell as given would not do: build_network draws weights for its dead
     conv edges too. The seed is in the init because runs of different seeds
     can share one file batch.
+
+    score_all computes a batch's uncached live networks at one BLAS thread
+    (_one_blas_thread) and shares them out with forked helper processes, one
+    per spare CPU but never more than the cells beyond the first. A helper
+    starts at the first batch that can use it and inherits this source, so
+    only live indices go to it and only scores come back; close() ends the
+    helpers. There are none on one CPU, without fork or without a settable
+    OpenBLAS: the scores are the same either way.
     """
 
     def __init__(self, batch: Batch | None, config: ProxyConfig | None = None, seed: int = 0):
@@ -214,14 +279,107 @@ class JacobianProxySource:
             self.config, np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
         self.seed = seed
         self.scores: dict[int, float] = {}
+        self._helpers: list = []  # (process, connection) pairs
+        self._queue = None  # the file of live indices not yet taken
 
-    def score(self, arch: ArchEncoding) -> float:
-        live = ArchEncoding.from_index(live_index(arch))
-        z = self.scores.get(live.index)
-        if z is None:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, live.index)))
-            z = self.scores[live.index] = score_architecture(live, self.batch, self.config, rng).z
-        return z
+    def score_all(self, archs) -> list[float]:
+        lives = [live_index(arch) for arch in archs]
+        todo = [i for i in dict.fromkeys(lives) if i not in self.scores]
+        if todo:
+            with _one_blas_thread() as pinned:
+                self._compute(todo, min(_spare_cpus(), len(todo) - 1) if pinned else 0)
+        return [self.scores[i] for i in lives]
+
+    def _score(self, index: int) -> float:
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, index)))
+        return score_architecture(ArchEncoding.from_index(index), self.batch, self.config, rng).z
+
+    def _compute(self, todo: list[int], helpers: int) -> None:
+        if helpers < 1:
+            self.scores.update((i, self._score(i)) for i in todo)
+            return
+        self._start_helpers(helpers)
+        data = array("H", todo).tobytes()  # live indices lie below 15625
+        queue = self._queue.fileno()
+        os.pwrite(queue, data, 0)
+        os.ftruncate(queue, len(data))
+        os.lseek(queue, 0, os.SEEK_SET)
+        woken = self._helpers[:helpers]
+        try:
+            for _, conn in woken:
+                conn.send(None)
+            self.scores.update(self._drain())
+            replies = [conn.recv() for _, conn in woken]
+        except (EOFError, OSError):
+            dead = next((p for p, _ in woken if not p.is_alive()), woken[0][0])
+            dead.join(1.0)
+            self.close()
+            raise ChildProcessError(f"proxy helper process {dead.pid} ended unexpectedly "
+                                    f"(exit code {dead.exitcode})") from None
+        except BaseException:
+            self.close()  # a helper may still send this batch's scores into the next one's
+            raise
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+            self.scores.update(reply)
+
+    def _drain(self) -> dict[int, float]:
+        """Score the live indices taken from the queue until it is empty.
+        Every process reads 2-byte records at the one file offset they share,
+        which the kernel moves under a lock, so each index goes to exactly one
+        process, and one that dies holds nothing the others wait for."""
+        done = {}
+        while len(record := os.read(self._queue.fileno(), 2)) == 2:
+            index = int.from_bytes(record, sys.byteorder)
+            done[index] = self._score(index)
+        return done
+
+    def _start_helpers(self, count: int) -> None:
+        import multiprocessing  # only a source with helpers pays for the import
+
+        context = multiprocessing.get_context("fork")
+        if self._queue is None:
+            self._queue = tempfile.TemporaryFile()
+        while len(self._helpers) < count:
+            ours, theirs = context.Pipe()
+            process = context.Process(target=self._serve, args=(theirs, ours), daemon=True)
+            process.start()
+            theirs.close()
+            self._helpers.append((process, ours))
+
+    def _serve(self, conn, *inherited) -> None:
+        """A helper's loop: each message wakes it to drain the queue and send
+        back the scores, or the exception that stopped it; it exits when the
+        parent's end of ``conn`` closes. It closes the parent's ends that it
+        inherited, so that end closing is seen."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a ^C is the parent's to handle
+        for other in (*inherited, *(c for _, c in self._helpers)):
+            other.close()
+        while True:
+            try:
+                conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = self._drain()
+            except Exception as exc:  # MemoryError too, so the parent reports it as such
+                reply = exc
+            try:
+                conn.send(reply)
+            except OSError:  # the parent closed its end
+                return
+
+    def close(self) -> None:
+        """End the helper processes, if any, and wait for them; the scores stay."""
+        for process, conn in self._helpers:
+            conn.close()
+            process.terminate()
+            process.join()
+        self._helpers = []
+        if self._queue is not None:
+            self._queue.close()
+            self._queue = None
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,7 @@ def test_criterion_8_benchmark_reproduction():
             config = EvolutionConfig(C=150, P=5, S=2, seed=seed, dataset="cifar10")
             proxy = JacobianProxySource(batch, ProxyConfig(skeleton=skeleton), seed=seed)
             guided = run_search(config, proxy, store)
+            proxy.close()
             plain = run_rea_baseline(config, store)
             gea_test.append(guided.best.test_acc)
             rea_test.append(plain.best.test_acc)

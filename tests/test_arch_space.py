@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from gea_nas.arch_space import (
     ArchEncoding,
     CellParseError,
     Operation,
+    _live_table,
     encode_str,
     enumerate_all,
     live_index,
@@ -238,7 +240,7 @@ def test_mutate_replacement_uniform_over_other_ops():
 
 def test_op_index_table_matches_enumeration():
     table = op_index_table()
-    assert table.shape == (SPACE_SIZE, NUM_EDGES)
+    assert table.shape == (SPACE_SIZE, NUM_EDGES) and table.dtype == np.uint8
     assert np.array_equal(table[0], np.zeros(6))
     assert np.array_equal(table[-1], np.full(6, 4))
     for idx in (1, 77, 8123, 15624):
@@ -275,3 +277,14 @@ def test_live_index_matches_a_plain_reachability_search():
         pruned = ArchEncoding.from_index(index).ops
         assert {e for e in range(NUM_EDGES) if pruned[e] != arch.ops[e]} <= dead
         assert live[index] == index  # idempotent: a live cell has no dead edge
+
+
+def test_live_and_op_tables_keep_their_bytes():
+    # The digests of the tables as built from int64 arrays: the narrow
+    # builds give the same values, and the live table the same bytes.
+    ops = op_index_table().astype(np.int64).tobytes()
+    assert hashlib.sha256(ops).hexdigest() == (
+        "d448961cb6f783756db1839025da28d3d4f761dec48a49b3470b27750546a29c")
+    assert _live_table().typecode == "H"
+    assert hashlib.sha256(_live_table().tobytes()).hexdigest() == (
+        "2df02fd18ccc19314b8f4827931ff651461226d74092b33deb8fc8a9325434f8")

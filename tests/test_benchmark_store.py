@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -412,3 +413,12 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_synthetic_landscape_fitness_is_bit_identical():
+    # The digest of SyntheticLandscape(0).fitness built from the int64 op
+    # table: the uint8 table indexes the same values.
+    fitness = SyntheticLandscape(0).fitness
+    assert fitness.dtype == np.float64
+    assert hashlib.sha256(fitness.tobytes()).hexdigest() == (
+        "0be5d99ba286f0912f795ed66717339f9c7e1c8d36e850bf98fcdccc42597506")

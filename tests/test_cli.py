@@ -22,6 +22,7 @@ from gea_nas.zero_proxy import (
 )
 
 from format_writers import dump_jsonl, write_batch_file
+from process_helpers import CallLog
 
 
 @pytest.fixture(scope="module")
@@ -136,24 +137,27 @@ TINY_SWEEP = SWEEP + TINY_PROXY
 
 
 def test_sweep_computes_each_seed_cell_once(tmp_path, monkeypatch):
-    requests, computed, sources = [], [], {}
-    score, score_architecture = zero_proxy.JacobianProxySource.score, zero_proxy.score_architecture
+    requests, computed, sources, seed_of = [], CallLog(2), {}, {}
+    score_all = zero_proxy.JacobianProxySource.score_all
+    score_architecture = zero_proxy.score_architecture
 
-    def recording_score(self, arch):
-        requests.append((self.seed, arch.index))
+    def recording_score_all(self, archs):
+        requests.extend((self.seed, arch.index) for arch in archs)
         sources[self.seed] = self
-        return score(self, arch)
+        seed_of[id(self.batch)] = self.seed  # a helper forked later inherits it
+        return score_all(self, archs)
 
-    def counting_score_architecture(arch, *args):
-        computed.append((requests[-1][0], arch.index))  # the requesting source's seed
-        return score_architecture(arch, *args)
+    def counting_score_architecture(arch, batch, *args):
+        computed.add(seed_of[id(batch)], arch.index)  # in whichever process computes it
+        return score_architecture(arch, batch, *args)
 
-    monkeypatch.setattr(zero_proxy.JacobianProxySource, "score", recording_score)
+    monkeypatch.setattr(zero_proxy.JacobianProxySource, "score_all", recording_score_all)
     monkeypatch.setattr(zero_proxy, "score_architecture", counting_score_architecture)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a helper on any machine
     assert main(TINY_SWEEP + ["--mode", "proxy", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(requests) > len(set(requests))  # the budgets share cells
     live = {(seed, live_index(ArchEncoding.from_index(i))) for seed, i in requests}
-    assert sorted(computed) == sorted(live)  # each seed's live network computed once
+    assert sorted(computed.entries()) == sorted(live)  # each seed's live network computed once
     assert sum(len(source.scores) for source in sources.values()) == len(live)
 
 
@@ -658,17 +662,18 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message)
 def test_every_random_stream_of_a_proxy_search_is_distinct(tmp_path, monkeypatch):
     # SeedSequence pads a short key with zeros, so keys such as (s, 3) and
     # (s, 3, 0) seed one stream; compare the states, not the keys.
-    states = []
+    log = CallLog(8)  # the streams drawn in this process and in the proxy's helper
     default_rng = np.random.default_rng
 
     def recording_default_rng(seed=None):
         if isinstance(seed, np.random.SeedSequence):
-            states.append(tuple(seed.generate_state(8)))
+            log.add(*seed.generate_state(8).tolist())
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
     assert main(["search", "--mode", "proxy", "--C", "8", "--P", "2", "--seeds", "0",
                  "--out", str(tmp_path / "out")]) == 0
+    states = log.entries()
     assert len(states) == 41  # landscape, batch, tournaments, 8 + 12 cells, 18 inits
     assert len(set(states)) == len(states)
 
@@ -819,7 +824,7 @@ def test_seeds_sharing_a_file_batch_score_a_cell_differently(tmp_path):
         doc = json.loads((out / f"gea_seed{seed}.json").read_text())
         model = next(m for m in doc["history"] if m["proxy_valid"])
         arch = parse_str(model["arch"])
-        z = {s: JacobianProxySource(batch, ProxyConfig(), s).score(arch) for s in (0, 1)}
+        z = {s: JacobianProxySource(batch, ProxyConfig(), s).score_all([arch])[0] for s in (0, 1)}
         assert model["proxy_z"] == z[seed]
         assert z[0] != z[1]
 

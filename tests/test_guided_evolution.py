@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from gea_nas.guided_evolution import (
 from gea_nas.network_builder import SkeletonConfig
 from gea_nas.zero_proxy import JacobianProxySource, ProxyConfig, make_batch, score_architecture
 
+from process_helpers import CallLog
+
 
 class StubRng:
     """Replays a fixed queue of integers through the Generator.integers slot."""
@@ -32,14 +35,21 @@ class StubRng:
         return self.values.pop(0)
 
 
-class IndexProxy:
+class CellProxy:
+    """A ProxySource made of a score(arch) method: each batch scored cell by cell."""
+
+    def score_all(self, archs):
+        return [self.score(arch) for arch in archs]
+
+
+class IndexProxy(CellProxy):
     """z equals the architecture's space index: a fixed, known total order."""
 
     def score(self, arch):
         return float(arch.index)
 
 
-class ConstantProxy:
+class ConstantProxy(CellProxy):
     def score(self, arch):
         return 1.0
 
@@ -234,7 +244,7 @@ def test_constant_proxy_admits_first_child():
 
 
 def test_invalid_scores_rank_below_valid():
-    class MostlyInvalidProxy:
+    class MostlyInvalidProxy(CellProxy):
         def score(self, arch):
             if arch.index % 3 == 0:
                 return float(arch.index)
@@ -247,7 +257,7 @@ def test_invalid_scores_rank_below_valid():
             assert log.children[log.admitted_index].proxy > -math.inf
 
 
-class MaskedProxy:
+class MaskedProxy(CellProxy):
     """A seeded random subset of the space scores invalid; the rest score a
     few tied z values, so ties and invalid scores meet in one ranking."""
 
@@ -304,25 +314,29 @@ def test_cached_scores_equal_fresh_scores(seed, p, extra):
     batch = make_batch(TINY_PROXY, np.random.default_rng(seed))
     proxy = JacobianProxySource(batch, TINY_PROXY, seed)
     config = EvolutionConfig(C=p + extra, P=p, seed=seed)
-    computed = []
+    computed = CallLog()  # in this process and in the helper
 
     def counting_score(arch, *args):
-        computed.append(arch.index)
+        computed.add(arch.index)
         return score_architecture(arch, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zero_proxy, "score_architecture", counting_score)
-        result = run_search(config, proxy, IndexLandscape())
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a helper on any machine
+        try:
+            result = run_search(config, proxy, IndexLandscape())
+        finally:
+            proxy.close()
 
     fresh = JacobianProxySource(batch, TINY_PROXY, seed)
     children = [c for log in result.cycle_log for c in log.children]
     for item in [*result.history, *children]:
-        assert item.proxy == fresh.score(item.arch)
+        assert item.proxy == fresh.score_all([item.arch])[0]
     requested = [random_arch(_rng(seed, 1, i)) for i in range(config.C)]
     requested += [c.arch for c in children]
     assert result.num_proxy_evals == len(requested)
     live = {live_index(a) for a in requested}
-    assert sorted(computed) == sorted(live)  # each live network computed once
+    assert sorted(computed.entries()) == sorted(live)  # each live network computed once
     assert len(proxy.scores) == len(live)
 
 
@@ -448,7 +462,7 @@ def test_json_dict_shape():
 
 
 def test_json_null_for_invalid_proxy():
-    class AlwaysInvalid:
+    class AlwaysInvalid(CellProxy):
         def score(self, arch):
             return -math.inf
 

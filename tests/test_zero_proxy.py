@@ -203,7 +203,7 @@ def test_score_architecture_refuses_a_batch_that_misfits_the_skeleton(misfit):
 def test_jacobian_proxy_source_refuses_a_misfit_batch():
     source = JacobianProxySource(small_batch(), ProxyConfig(), seed=0)
     with pytest.raises(ValueError, match="4 classes"):
-        source.score(ArchEncoding.from_index(42))
+        source.score_all([ArchEncoding.from_index(42)])
     assert source.scores == {}
 
 
@@ -442,7 +442,7 @@ def test_jacobian_proxy_source_matches_direct_call():
         source = JacobianProxySource(batch, small_config(), seed)
         assert source.batch is batch  # a batch passed in is kept as it is
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2, arch.index)))
-        assert source.score(arch) == score_architecture(arch, batch, small_config(), rng).z
+        assert source.score_all([arch])[0] == score_architecture(arch, batch, small_config(), rng).z
         # without one, the source draws the seed's synthetic batch from key (seed, 0, 1)
         drawn = JacobianProxySource(None, small_config(), seed).batch
         expected = make_batch(small_config(),
@@ -471,7 +471,7 @@ def test_cells_of_one_live_network_share_one_score(pair, monkeypatch):
     zs = []
     for first, second in ((a, b), (b, a)):  # the z must not depend on which comes first
         source = JacobianProxySource(small_batch(seed=22), small_config(), seed=5)
-        zs += [np.float64(source.score(first)).tobytes(), np.float64(source.score(second)).tobytes()]
+        zs += [np.float64(source.score_all([first])[0]).tobytes(), np.float64(source.score_all([second])[0]).tobytes()]
         assert list(source.scores) == [live_index(a)]
     assert np.isfinite(np.frombuffer(zs[0])).all() and len(set(zs)) == 1
     assert computed == [live_index(a)] * 2  # once per source
@@ -487,8 +487,8 @@ def test_jacobian_proxy_source_scores_do_not_depend_on_order(a, b, seed):
     first, second = ArchEncoding.from_index(a), ArchEncoding.from_index(b)
     forward = JacobianProxySource(batch, config, seed)
     backward = JacobianProxySource(batch, config, seed)
-    a_then_b = [forward.score(first), forward.score(second)]
-    b_then_a = [backward.score(second), backward.score(first)]
+    a_then_b = [forward.score_all([first])[0], forward.score_all([second])[0]]
+    b_then_a = [backward.score_all([second])[0], backward.score_all([first])[0]]
     assert a_then_b == b_then_a[::-1]
 
 
