@@ -34,17 +34,22 @@ Kernel forms:
     and one non-finite element makes its (channel, sample) image NaN (0*inf);
   - batch norm centres its input once; its statistics are BLAS reductions
     of one contiguous row per channel: sums as a product with ones divided
-    by the count, the variance and the projection as row dot products.
+    by the count, the variance and the projection as row dot products, at
+    one OpenBLAS thread: OpenBLAS splits a dot product longer than 10000
+    among its threads, which moves its last bits.
 
 Every kernel runs a fixed sequence of numpy operations, so results are
-reproducible bit for bit on a given machine, numpy build and BLAS; another
-BLAS may differ in the last bits of a conv or a pooling.
+reproducible bit for bit on a given machine, numpy build and BLAS, at any
+BLAS thread count; another BLAS may differ in the last bits of a conv or a
+pooling.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +140,47 @@ def avg_pool_3x3(x: np.ndarray) -> np.ndarray:
 avg_pool_3x3_grad = avg_pool_3x3
 
 
+@lru_cache(maxsize=None)
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy has
+    loaded, found by their symbols in each mapped library named *blas*, or
+    None where there is no such library or no /proc/self/maps."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines()
+                        if "blas" in line.lower() and line.split()[-1].startswith("/")}):
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            try:
+                lib = ctypes.CDLL(path)
+                get, put = (getattr(lib, name.format(verb)) for verb in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes, put.argtypes = ctypes.c_int, [], [ctypes.c_int]
+            return get, put
+    return None
+
+
+def _at_one_blas_thread(kernel):
+    """kernel run at one OpenBLAS thread, the count put back after; it sets
+    nothing where the count is already 1 or cannot be set. The batch-norm
+    kernels use it, and so does the proxy source for a whole batch."""
+    @wraps(kernel)
+    def pinned(*args):
+        blas = _blas_threads()
+        if blas is None or (before := blas[0]()) == 1:
+            return kernel(*args)
+        blas[1](1)
+        try:
+            return kernel(*args)
+        finally:
+            blas[1](before)
+    return pinned
+
+
+@_at_one_blas_thread
 def batch_norm_with_cache(x: np.ndarray):
     """Per-channel normalization by batch statistics over (N, H, W); scale 1,
     shift 0. Returns the output and the (xhat, inv_std) backward cache."""
@@ -147,6 +193,7 @@ def batch_norm_with_cache(x: np.ndarray):
     return xhat, (xhat, inv_std)
 
 
+@_at_one_blas_thread
 def batch_norm_input_grad(dout: np.ndarray, cache) -> np.ndarray:
     xhat, inv_std = cache
     c, m = dout.shape[0], dout[0].size

@@ -23,16 +23,22 @@ SeedSequence pads a key to four words with zeros, so (s, 3) and (s, 3, 0)
 would be one stream, and splits a seed of 2**32 or more into two words, so
 run and landscape seeds must lie in [0, 2**32). No two keys here meet unless
 a run reaches cycle 830199, whose child 0 has the key of landscape s. The
-proxy takes no generator: a score is a float (-inf for an invalid cell) and a
-function of the cell. The loop hands the proxy whole batches, the C
-candidates in one score_all call and each cycle's P children in one more, so
-a source may score a batch's cells in parallel (zero_proxy's Jacobian source
-does); since every candidate and child has its own stream, building a batch
-before scoring it draws exactly what scoring cell by cell would. Whether a
-source caches scores is its affair: the loop counts every cell requested
-(num_proxy_evals) and times every batch (proxy_wall_seconds, wall time).
-Validation accuracy is the only fitness the loop ever reads; test accuracy
-is carried through untouched for reporting.
+tournament draws must stay independent of every fitness: the lookahead below
+reads them before the admissions they come after.
+
+The proxy takes no generator: a score is a float (-inf for an invalid cell)
+and a function of the cell. The loop hands the proxy whole batches, which a
+source may score in parallel (zero_proxy's Jacobian source does): the C
+candidates, then the children of each cycle whose parent is already fixed.
+Slot i of cycle c's tournament names birth c + i, so while every slot of
+cycle c + m lies below P - m, its parent is admitted before cycle c's batch
+and its children join that batch; admissions still go cycle by cycle. Each
+candidate and child has its own stream, so the result is that of scoring
+cell by cell. Whether a source caches scores is its affair: the loop counts
+every cell requested (num_proxy_evals) and times every batch, merged cycles
+as one (proxy_wall_seconds, wall time). Validation accuracy is the only
+fitness the loop ever reads; test accuracy is carried through untouched for
+reporting.
 """
 
 from __future__ import annotations
@@ -175,12 +181,19 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+def tournament_draws(size: int, s: int, rng: np.random.Generator) -> list[int]:
+    """S slot indices in [0, size), drawn with replacement; they read no fitness."""
+    return [int(rng.integers(size)) for _ in range(s)]
+
+
 def tournament_select(members: Sequence[EvaluatedModel], s: int,
                       rng: np.random.Generator) -> EvaluatedModel:
     """S draws with replacement; returns the max-fitness draw, earliest birth
     winning ties."""
-    picks = [members[int(rng.integers(len(members)))] for _ in range(s)]
-    return max(picks, key=lambda m: (m.fitness, -m.birth))
+    return best_of([members[i] for i in tournament_draws(len(members), s, rng)])
+
+
+_LOOKAHEAD = True  # tests turn it off to compare with cycle-by-cycle batches
 
 
 def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
@@ -227,20 +240,31 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         admit(*candidates[i])
 
     main_rng = _rng(config.seed, 0)
+    draws: list[list[int]] = []  # each cycle's tournament slots, drawn in cycle order
     cycle_log: list[CycleLog] = []
-    while len(history) < config.C:
-        cycle = len(cycle_log)
-        parent = tournament_select(history[-keep:], config.S, main_rng)
-        logs = [ChildLog(*pair) for pair in scored(
-            [mutate(parent.arch, _rng(config.seed, 2 + cycle, j)) for j in range(children)])]
-        # Best proxy score (an invalid child's -inf loses to any valid one),
-        # earlier child winning ties.
-        best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy)
-        admit(logs[best].arch, logs[best].proxy)
-        cycle_log.append(CycleLog(
-            cycle=cycle, parent_birth=parent.birth, children=tuple(logs),
-            admitted_index=best,
-            population_births=tuple(m.birth for m in history[-keep:])))
+    while (first := len(cycle_log)) < (cycles := config.C - keep):
+        batch = []  # (parent, children) of each cycle scored in this batch
+        for cycle in range(first, cycles if proxy is not None and _LOOKAHEAD else first + 1):
+            if len(draws) == cycle:
+                draws.append(tournament_draws(keep, config.S, main_rng))
+            # Slot i names birth cycle + i; one at first + keep or later is a
+            # pending admission, so this cycle waits for the next batch.
+            if max(draws[cycle]) >= keep - (cycle - first):
+                break
+            parent = best_of([history[cycle + i] for i in draws[cycle]])
+            batch.append((parent, [mutate(parent.arch, _rng(config.seed, 2 + cycle, j))
+                                   for j in range(children)]))
+        pairs = iter(scored([arch for _, archs in batch for arch in archs]))
+        for parent, archs in batch:
+            logs = [ChildLog(*next(pairs)) for _ in archs]
+            # Best proxy score (an invalid child's -inf loses to any valid
+            # one), earlier child winning ties.
+            best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy)
+            admit(logs[best].arch, logs[best].proxy)
+            cycle_log.append(CycleLog(
+                cycle=len(cycle_log), parent_birth=parent.birth, children=tuple(logs),
+                admitted_index=best,
+                population_births=tuple(m.birth for m in history[-keep:])))
 
     return SearchResult(method=method, config=config, history=history,
                         cycle_log=cycle_log, num_proxy_evals=num_proxy,
@@ -265,6 +289,6 @@ def run_random_baseline(config: EvolutionConfig, fitness: FitnessSource) -> Sear
     return _evolve("rs", config, fitness, None, config.C, config.C, 0)
 
 
-def best_of(history: list[EvaluatedModel]) -> EvaluatedModel:
+def best_of(models: Sequence[EvaluatedModel]) -> EvaluatedModel:
     """Highest validation fitness; earliest birth wins ties."""
-    return max(history, key=lambda m: m.fitness)
+    return max(models, key=lambda m: (m.fitness, -m.birth))

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import select
 import signal
 import struct
 import sys
 import tempfile
+import time
 from array import array
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch_space import ArchEncoding, live_index
-from .autodiff_core import CompGraph
+from .autodiff_core import CompGraph, _at_one_blas_thread, _blas_threads
 from .network_builder import SkeletonConfig, build_network
 
 _HEADER = struct.Struct("<5i")  # N, C, H, W, K
@@ -198,55 +201,25 @@ def score_architecture(arch: ArchEncoding, batch: Batch,
     return ProxyScore(z=z) if np.isfinite(z) else INVALID_SCORE
 
 
-@cache
-def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy has
-    loaded, found by their symbols in each mapped library named *blas*, or
-    None where there is no such library or no /proc/self/maps."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    for path in sorted({line.split()[-1] for line in maps.splitlines()
-                        if "blas" in line.lower() and line.split()[-1].startswith("/")}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes, put.argtypes = ctypes.c_int, [], [ctypes.c_int]
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run BLAS on one thread inside the block, restoring its count after;
-    yields whether the count could be set. One thread keeps scoring processes
-    from oversubscribing the cores, and fixes how a threaded OpenBLAS ddot
-    splits a sum longer than 10000 (a batch norm over H*W*N > 10000), so a
-    score does not depend on the thread count."""
-    blas = _blas_threads()
-    if blas is None:
-        yield False
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
-
-
 def _spare_cpus() -> int:
     """CPUs this process may run on beyond its own; 0 where it cannot fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 0
     return len(os.sched_getaffinity(0)) - 1
+
+
+_POLL_SECONDS = 0.02  # how long a process waiting on a pipe spins before it sleeps
+
+
+def _await(fd: int) -> None:
+    """Return once fd can be read (data or end of file): spin on it for up
+    to _POLL_SECONDS, then sleep in select. A process that sleeps between
+    batches wakes late on every one (~1.5 ms per batch on a 2-vCPU VM), which
+    is most of what a helper saves on a batch of 2-3 small cells."""
+    deadline = time.perf_counter() + _POLL_SECONDS
+    while not select.select([fd], [], [], 0)[0] and time.perf_counter() < deadline:
+        pass
+    select.select([fd], [], [])
 
 
 class JacobianProxySource:
@@ -265,10 +238,12 @@ class JacobianProxySource:
     can share one file batch.
 
     score_all computes a batch's uncached live networks at one BLAS thread
-    (_one_blas_thread) and shares them out with forked helper processes, one
-    per spare CPU but never more than the cells beyond the first. A helper
-    starts at the first batch that can use it and inherits this source, so
-    only live indices go to it and only scores come back; close() ends the
+    and shares them out with helpers forked at the first batch that can use
+    them, one per spare CPU but never more than the cells beyond the first.
+    A helper inherits this source, so only a wake-up byte goes to it and a
+    pickled dict of scores, or the exception that stopped it, comes back;
+    it, and this process awaiting its reply, spins on its pipe for up to
+    _POLL_SECONDS before sleeping (_await). close() ends and reaps the
     helpers. There are none on one CPU, without fork or without a settable
     OpenBLAS: the scores are the same either way.
     """
@@ -279,23 +254,23 @@ class JacobianProxySource:
             self.config, np.random.default_rng(np.random.SeedSequence((seed, 0, 1))))
         self.seed = seed
         self.scores: dict[int, float] = {}
-        self._helpers: list = []  # (process, connection) pairs
+        self._helpers: list = []  # (pid, wake-up fd, reply file) of each helper
         self._queue = None  # the file of live indices not yet taken
 
     def score_all(self, archs) -> list[float]:
         lives = [live_index(arch) for arch in archs]
         todo = [i for i in dict.fromkeys(lives) if i not in self.scores]
         if todo:
-            with _one_blas_thread() as pinned:
-                self._compute(todo, min(_spare_cpus(), len(todo) - 1) if pinned else 0)
+            self._compute(todo, min(_spare_cpus(), len(todo) - 1) if _blas_threads() else 0)
         return [self.scores[i] for i in lives]
 
     def _score(self, index: int) -> float:
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0, 2, index)))
         return score_architecture(ArchEncoding.from_index(index), self.batch, self.config, rng).z
 
+    @_at_one_blas_thread  # two processes at two BLAS threads each would oversubscribe
     def _compute(self, todo: list[int], helpers: int) -> None:
-        if helpers < 1:
+        if helpers < 1:  # no queue file, so a source that never forks opens none
             self.scores.update((i, self._score(i)) for i in todo)
             return
         self._start_helpers(helpers)
@@ -306,16 +281,11 @@ class JacobianProxySource:
         os.lseek(queue, 0, os.SEEK_SET)
         woken = self._helpers[:helpers]
         try:
-            for _, conn in woken:
-                conn.send(None)
+            for _, wake, _ in woken:
+                with suppress(BrokenPipeError):  # a dead helper: _reply reports it
+                    os.write(wake, b"\0")
             self.scores.update(self._drain())
-            replies = [conn.recv() for _, conn in woken]
-        except (EOFError, OSError):
-            dead = next((p for p, _ in woken if not p.is_alive()), woken[0][0])
-            dead.join(1.0)
-            self.close()
-            raise ChildProcessError(f"proxy helper process {dead.pid} ended unexpectedly "
-                                    f"(exit code {dead.exitcode})") from None
+            replies = [self._reply(helper) for helper in woken]
         except BaseException:
             self.close()  # a helper may still send this batch's scores into the next one's
             raise
@@ -323,6 +293,21 @@ class JacobianProxySource:
             if isinstance(reply, BaseException):
                 raise reply
             self.scores.update(reply)
+
+    def _reply(self, helper) -> dict[int, float] | Exception:
+        """What a woken helper sends back; ChildProcessError, once the helper
+        is reaped, where it ended before it replied."""
+        pid, _, replies = helper
+        _await(replies.fileno())
+        try:
+            return pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):
+            self._helpers.remove(helper)
+            os.close(helper[1])
+            replies.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise ChildProcessError(f"proxy helper process {pid} ended unexpectedly "
+                                    f"(exit code {code})") from None
 
     def _drain(self) -> dict[int, float]:
         """Score the live indices taken from the queue until it is empty.
@@ -336,46 +321,46 @@ class JacobianProxySource:
         return done
 
     def _start_helpers(self, count: int) -> None:
-        import multiprocessing  # only a source with helpers pays for the import
-
-        context = multiprocessing.get_context("fork")
         if self._queue is None:
             self._queue = tempfile.TemporaryFile()
         while len(self._helpers) < count:
-            ours, theirs = context.Pipe()
-            process = context.Process(target=self._serve, args=(theirs, ours), daemon=True)
-            process.start()
-            theirs.close()
-            self._helpers.append((process, ours))
+            wake, woken = os.pipe()
+            replies, reply = os.pipe()
+            if (pid := os.fork()) == 0:
+                code = 1
+                try:
+                    self._serve(wake, reply, woken, replies)
+                    code = 0
+                finally:
+                    os._exit(code)  # never back into the parent's stack
+            os.close(wake)
+            os.close(reply)
+            self._helpers.append((pid, woken, os.fdopen(replies, "rb")))
 
-    def _serve(self, conn, *inherited) -> None:
-        """A helper's loop: each message wakes it to drain the queue and send
-        back the scores, or the exception that stopped it; it exits when the
-        parent's end of ``conn`` closes. It closes the parent's ends that it
-        inherited, so that end closing is seen."""
+    def _serve(self, wake: int, reply: int, *inherited: int) -> None:
+        """A helper's loop: each byte on ``wake`` wakes it to drain the queue
+        and send back the scores, or the exception that stopped it; it
+        returns when the parent's end of ``wake`` closes. It closes the
+        parent's ends that it inherited, so that end closing is seen."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # a ^C is the parent's to handle
-        for other in (*inherited, *(c for _, c in self._helpers)):
-            other.close()
-        while True:
+        for fd in (*inherited, *(woken for _, woken, _ in self._helpers)):
+            os.close(fd)
+        out = os.fdopen(reply, "wb")
+        while _await(wake) or os.read(wake, 1):  # b"" once the parent's end closes
             try:
-                conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = self._drain()
+                result = self._drain()
             except Exception as exc:  # MemoryError too, so the parent reports it as such
-                reply = exc
-            try:
-                conn.send(reply)
-            except OSError:  # the parent closed its end
-                return
+                result = exc
+            pickle.dump(result, out)
+            out.flush()
 
     def close(self) -> None:
-        """End the helper processes, if any, and wait for them; the scores stay."""
-        for process, conn in self._helpers:
-            conn.close()
-            process.terminate()
-            process.join()
+        """End the helper processes, if any, and reap them; the scores stay."""
+        for pid, woken, replies in self._helpers:
+            os.close(woken)
+            replies.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
         self._helpers = []
         if self._queue is not None:
             self._queue.close()

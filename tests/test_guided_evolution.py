@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gea_nas import zero_proxy
+from gea_nas import guided_evolution, zero_proxy
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, live_index, random_arch
-from gea_nas.benchmark_store import OracleProxySource, SyntheticLandscape
+from gea_nas.benchmark_store import NoisyProxySource, OracleProxySource, SyntheticLandscape
 from gea_nas.guided_evolution import (
     EvaluatedModel,
     EvolutionConfig,
@@ -338,6 +338,62 @@ def test_cached_scores_equal_fresh_scores(seed, p, extra):
     live = {live_index(a) for a in requested}
     assert sorted(computed.entries()) == sorted(live)  # each live network computed once
     assert len(proxy.scores) == len(live)
+
+
+class BatchLog:
+    """Wraps a proxy source and records each score_all batch with the number
+    of models admitted (fitness-evaluated) when it was requested."""
+
+    def __init__(self, inner, fitness):
+        self.inner, self.fitness, self.batches = inner, CountingSource(fitness), []
+
+    def score_all(self, archs):
+        self.batches.append((list(archs), self.fitness.calls))
+        return self.inner.score_all(archs)
+
+
+def proxy_of(mode, seed, land):
+    return (OracleProxySource(land) if mode == "oracle" else
+            NoisyProxySource(land, 0.5, seed) if mode == "mock" else
+            JacobianProxySource(None, TINY_PROXY, seed))
+
+
+@pytest.mark.parametrize("mode", ["oracle", "mock", "proxy"])
+@pytest.mark.parametrize("C,P,S", [(60, 5, 2), (40, 3, 5), (30, 2, 2), (25, 4, 1)])
+def test_lookahead_batches_change_nothing_outside_timing(monkeypatch, mode, C, P, S):
+    land, docs, batches = SyntheticLandscape(2), [], []
+    for lookahead in (True, False):
+        monkeypatch.setattr(guided_evolution, "_LOOKAHEAD", lookahead)
+        proxy = proxy_of(mode, C + S, land)
+        log = BatchLog(proxy, land)
+        try:
+            result = run_search(EvolutionConfig(C=C, P=P, S=S, seed=C + S), log, log.fitness)
+        finally:
+            getattr(proxy, "close", lambda: None)()
+        docs.append(result.to_json_dict())
+        docs[-1].pop("timing")
+        batches.append(len(log.batches))
+    assert docs[0] == docs[1]
+    assert batches[1] == 1 + C - P  # the candidates, then one batch per cycle
+    assert batches[0] < batches[1]  # the lookahead merged some cycles
+
+
+@pytest.mark.parametrize("C,P,S", [(80, 5, 2), (50, 3, 3), (40, 4, 6)])
+def test_no_child_is_requested_before_its_parent_is_admitted(C, P, S):
+    land = SyntheticLandscape(5)
+    log = BatchLog(OracleProxySource(land), land)
+    result = run_search(EvolutionConfig(C=C, P=P, S=S, seed=S), log, log.fitness)
+    (candidates, admitted), *cycle_batches = log.batches
+    assert len(candidates) == C and admitted == 0
+    cycles = iter(result.cycle_log)
+    for archs, admitted in cycle_batches:
+        assert len(archs) % P == 0
+        for k in range(0, len(archs), P):
+            cycle = next(cycles)
+            assert archs[k:k + P] == [c.arch for c in cycle.children]
+            assert cycle.parent_birth < admitted  # in the history when its children were asked for
+    assert next(cycles, None) is None
+    assert max(len(archs) for archs, _ in cycle_batches) > P
 
 
 def test_rea_baseline_shape():

@@ -2,7 +2,6 @@
 start only where there are spare CPUs, and never outlive a command."""
 
 import json
-import multiprocessing
 import os
 import signal
 import time
@@ -27,16 +26,34 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def count_forks(monkeypatch) -> list:
-    """Patch os.fork to record the helpers alive at each fork, then fork."""
-    alive, fork = [], os.fork
+def unreaped(pid) -> bool:
+    """Whether pid is a child of this process that nothing has reaped yet;
+    it looks without reaping."""
+    try:
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def count_forks(monkeypatch) -> tuple[list, list]:
+    """Patch os.fork to record, at each fork, how many earlier children are
+    not yet reaped, and then the new child's pid."""
+    alive, pids, fork = [], [], os.fork
 
     def counting_fork():
-        alive.append(len(multiprocessing.active_children()))
-        return fork()
+        alive.append(sum(map(unreaped, pids)))
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    return alive
+    return alive, pids
+
+
+def all_reaped(pids) -> bool:
+    return bool(pids) and not any(map(unreaped, pids))
 
 
 def results(out) -> dict:
@@ -63,7 +80,8 @@ def only_helpers_score(monkeypatch):
 def test_helper_scores_equal_in_process_scores(monkeypatch, hw, cells):
     # (SK, SK, SK, NO, NO, NO) has no path to node 3: an invalid score. At
     # 32x32 a batch norm sums 32768 values, past OpenBLAS's threaded-ddot
-    # size, so the in-process score is taken at one BLAS thread too.
+    # size, so the kernels' own one-thread pin is what makes the in-process
+    # score, at the default thread count, equal the helper's.
     cpus(monkeypatch, 2)
     only_helpers_score(monkeypatch)
     config = ProxyConfig(skeleton=SkeletonConfig(image_hw=hw))
@@ -73,11 +91,10 @@ def test_helper_scores_equal_in_process_scores(monkeypatch, hw, cells):
         helper = source.score_all(archs)
     finally:
         source.close()
-    with zero_proxy._one_blas_thread():
-        local = [score_architecture(
-            ArchEncoding.from_index(live_index(arch)), source.batch, config,
-            np.random.default_rng(np.random.SeedSequence((3, 0, 2, live_index(arch))))).z
-            for arch in archs]
+    local = [score_architecture(
+        ArchEncoding.from_index(live_index(arch)), source.batch, config,
+        np.random.default_rng(np.random.SeedSequence((3, 0, 2, live_index(arch))))).z
+        for arch in archs]
     assert list(map(repr, helper)) == list(map(repr, local))
     assert helper[-1] == float("-inf") and all(np.isfinite(helper[:-1]))
 
@@ -86,7 +103,7 @@ def test_one_cpu_starts_no_process_and_writes_the_same_results(tmp_path, monkeyp
     cpus(monkeypatch, 2)
     assert main(SEARCH + ["--C", "12", "--seeds", "0,1", "--out", str(tmp_path / "two")]) == 0
     cpus(monkeypatch, 1)
-    forks = count_forks(monkeypatch)
+    forks, _ = count_forks(monkeypatch)
     assert main(SEARCH + ["--C", "12", "--seeds", "0,1", "--out", str(tmp_path / "one")]) == 0
     assert forks == []
     assert results(tmp_path / "one") == results(tmp_path / "two")
@@ -94,15 +111,15 @@ def test_one_cpu_starts_no_process_and_writes_the_same_results(tmp_path, monkeyp
 
 def test_three_cpus_start_two_helpers_per_run(tmp_path, monkeypatch):
     cpus(monkeypatch, 3)
-    forks = count_forks(monkeypatch)
+    forks, pids = count_forks(monkeypatch)
     assert main(SEARCH + ["--C", "12", "--seeds", "0,1", "--out", str(tmp_path / "out")]) == 0
     assert forks == [0, 1, 0, 1]  # two per run; the first run's ended before the second's
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
 
 
 def test_no_more_helpers_than_cells_beyond_the_first(monkeypatch):
     cpus(monkeypatch, 3)
-    forks = count_forks(monkeypatch)
+    forks, pids = count_forks(monkeypatch)
     source = JacobianProxySource(None, ProxyConfig(), seed=0)
     try:
         source.score_all([ArchEncoding.from_index(i) for i in (77, 78)])  # one live network
@@ -111,7 +128,7 @@ def test_no_more_helpers_than_cells_beyond_the_first(monkeypatch):
         assert forks == [0]
     finally:
         source.close()
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
 
 
 @pytest.mark.parametrize("command", [
@@ -120,22 +137,23 @@ def test_no_more_helpers_than_cells_beyond_the_first(monkeypatch):
 ])
 def test_no_helper_outlives_a_command(tmp_path, monkeypatch, command):
     cpus(monkeypatch, 2)
-    forks = count_forks(monkeypatch)
+    forks, pids = count_forks(monkeypatch)
     out = tmp_path / ("s.csv" if command[0] == "sweep" else "out")
     with time_limit(60):
         assert main(command + ["--out", str(out)]) == 0
     assert forks and max(forks) == 0  # one helper at a time
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
 
 
 def test_a_failing_last_seed_ends_its_helpers(tmp_path, capsys, monkeypatch):
     cpus(monkeypatch, 2)
+    _, pids = count_forks(monkeypatch)
     run = experiment_cli.run_search
 
     def fails_on_seed_2(config, proxy, fitness):
         if config.seed == 2:
             proxy.score_all([ArchEncoding.from_index(i) for i in range(0, 15625, 97)])
-            assert multiprocessing.active_children()
+            assert unreaped(pids[-1])
             raise MemoryError()
         return run(config, proxy, fitness)
 
@@ -146,7 +164,7 @@ def test_a_failing_last_seed_ends_its_helpers(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory")
     assert sorted(p.name for p in out.iterdir()) == ["gea_seed0.json", "gea_seed1.json"]
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
 
 
 def slow_in_parent(monkeypatch, in_helper):
@@ -167,6 +185,7 @@ def slow_in_parent(monkeypatch, in_helper):
 
 def test_a_killed_helper_ends_in_an_error_line(tmp_path, capsys, monkeypatch):
     cpus(monkeypatch, 2)
+    _, pids = count_forks(monkeypatch)
 
     def die(calls):
         if calls == 3:
@@ -178,7 +197,22 @@ def test_a_killed_helper_ends_in_an_error_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: proxy helper process")
     assert "exit code -9" in err[0]
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
+
+
+def test_a_helper_killed_between_batches_fails_the_next_batch(monkeypatch):
+    cpus(monkeypatch, 2)
+    _, pids = count_forks(monkeypatch)
+    source = JacobianProxySource(None, ProxyConfig(), seed=5)
+    try:
+        source.score_all([ArchEncoding.from_index(i) for i in range(0, 15625, 997)])
+        os.kill(pids[0], signal.SIGKILL)
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        with pytest.raises(ChildProcessError, match=rf"process {pids[0]} .*exit code -9"):
+            source.score_all([ArchEncoding.from_index(i) for i in range(1, 15625, 997)])
+    finally:
+        source.close()
+    assert all_reaped(pids)
 
 
 @pytest.mark.parametrize("error,line", [(MemoryError, "error: out of memory: allocation failed"),
@@ -186,6 +220,7 @@ def test_a_killed_helper_ends_in_an_error_line(tmp_path, capsys, monkeypatch):
 def test_an_exception_in_a_helper_reaches_the_parent_with_its_type(
         tmp_path, capsys, monkeypatch, error, line):
     cpus(monkeypatch, 2)
+    _, pids = count_forks(monkeypatch)
 
     def fail(calls):
         raise error() if error is MemoryError else error("raised in a helper")
@@ -194,11 +229,12 @@ def test_an_exception_in_a_helper_reaches_the_parent_with_its_type(
     with time_limit(60):
         assert main(SEARCH + ["--C", "30", "--seeds", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.splitlines() == [line]
-    assert multiprocessing.active_children() == []
+    assert all_reaped(pids)
 
 
 def test_a_source_scores_again_after_a_failed_batch(monkeypatch):
     cpus(monkeypatch, 2)
+    _, pids = count_forks(monkeypatch)
     score, failed = zero_proxy.score_architecture, []
 
     def fails_once_here(*args):
@@ -212,7 +248,7 @@ def test_a_source_scores_again_after_a_failed_batch(monkeypatch):
     source = JacobianProxySource(None, ProxyConfig(), seed=4)
     with pytest.raises(ValueError, match="once"):
         source.score_all(archs)
-    assert multiprocessing.active_children() == []  # no reply of that batch is left
+    assert all_reaped(pids)  # no reply of that batch is left
     try:
         again = source.score_all(archs)
     finally:

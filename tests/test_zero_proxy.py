@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gea_nas import zero_proxy
+from gea_nas import autodiff_core, zero_proxy
 from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, Operation, live_index, random_arch
 from gea_nas.autodiff_core import CompGraph
 from gea_nas.network_builder import SkeletonConfig, build_network
@@ -384,6 +384,27 @@ def test_score_deterministic():
     assert a == b
 
 
+def test_a_32x32_score_does_not_depend_on_the_blas_thread_count():
+    # A batch norm here sums 32*32*32 values; OpenBLAS splits a dot product
+    # longer than 10000 among its threads, so this cell's z used to move in
+    # its last bits between one and two threads.
+    blas = autodiff_core._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    get, put = blas
+    config = ProxyConfig(skeleton=SkeletonConfig(image_hw=32))
+    batch = make_batch(config, np.random.default_rng(0))
+    arch = ArchEncoding((Operation.NONE,) * 3 + (Operation.NOR_CONV_1X1,) + (Operation.NONE,) * 2)
+    before, zs = get(), []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            zs.append(repr(score_architecture(arch, batch, config, np.random.default_rng(5)).z))
+    finally:
+        put(before)
+    assert zs[0] == zs[1] != "-inf"
+
+
 def test_ranking_invariant_to_batch_permutation():
     batch = small_batch(seed=13, n=24, k=6)
     perm = np.random.default_rng(14).permutation(batch.size)
@@ -496,7 +517,7 @@ def test_jacobian_proxy_source_scores_do_not_depend_on_order(a, b, seed):
 
 SCORE_CELLS_CODE = """
 import numpy as np
-from gea_nas import zero_proxy
+from gea_nas import autodiff_core, zero_proxy
 from gea_nas.arch_space import random_arch
 batch = zero_proxy.make_batch(zero_proxy.ProxyConfig())
 rng = np.random.default_rng(24)
