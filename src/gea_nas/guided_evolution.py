@@ -15,16 +15,17 @@ methods are three shapes of that loop:
   - rs: pool of C, all admitted, so no cycle ever runs.
 
 Determinism: every draw comes from a generator seeded by SeedSequence(key).
-The keys, for run seed s and landscape seed l: (s, 0) tournaments, (s, 1, i)
+The keys, for run seed s and landscape seed l: (s, 0) the tournament slots
+of every cycle, drawn as one array before the first admission, (s, 1, i)
 candidate i, (s, 2 + c, j) child j of cycle c, (s, 0, 1) the synthetic batch
 and (s, 0, 2, i) the weights that score live network i (zero_proxy),
 (l, 830201) the landscape and (s, 830202) the noisy proxy (benchmark_store).
 SeedSequence pads a key to four words with zeros, so (s, 3) and (s, 3, 0)
 would be one stream, and splits a seed of 2**32 or more into two words, so
 run and landscape seeds must lie in [0, 2**32). No two keys here meet unless
-a run reaches cycle 830199, whose child 0 has the key of landscape s. The
-tournament draws must stay independent of every fitness: the lookahead below
-reads them before the admissions they come after.
+a run reaches cycle 830199, whose child 0 has the key of landscape s. As
+the slots are drawn before any fitness exists, no slot depends on one, and
+the lookahead below may read them ahead of the admissions they come after.
 
 The proxy takes no generator: a score is a float (-inf for an invalid cell)
 and a function of the cell. The loop hands the proxy whole batches, which a
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -155,8 +156,7 @@ class SearchResult:
 
         return {
             "method": self.method,
-            "config": {"C": self.config.C, "P": self.config.P, "S": self.config.S,
-                       "seed": self.config.seed, "dataset": self.config.dataset},
+            "config": asdict(self.config),
             "history": [model_dict(m) for m in self.history],
             "cycles": [{
                 "cycle": c.cycle,
@@ -179,18 +179,6 @@ class SearchResult:
 def _rng(*key: int) -> np.random.Generator:
     """The generator of one stream key (module docstring)."""
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def tournament_draws(size: int, s: int, rng: np.random.Generator) -> list[int]:
-    """S slot indices in [0, size), drawn with replacement; they read no fitness."""
-    return [int(rng.integers(size)) for _ in range(s)]
-
-
-def tournament_select(members: Sequence[EvaluatedModel], s: int,
-                      rng: np.random.Generator) -> EvaluatedModel:
-    """S draws with replacement; returns the max-fitness draw, earliest birth
-    winning ties."""
-    return best_of([members[i] for i in tournament_draws(len(members), s, rng)])
 
 
 _LOOKAHEAD = True  # tests turn it off to compare with cycle-by-cycle batches
@@ -239,14 +227,12 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
     for i in kept:
         admit(*candidates[i])
 
-    main_rng = _rng(config.seed, 0)
-    draws: list[list[int]] = []  # each cycle's tournament slots, drawn in cycle order
+    # Every cycle's S tournament slots, drawn before any fitness exists.
+    draws = _rng(config.seed, 0).integers(keep, size=(config.C - keep, config.S)).tolist()
     cycle_log: list[CycleLog] = []
-    while (first := len(cycle_log)) < (cycles := config.C - keep):
+    while (first := len(cycle_log)) < len(draws):
         batch = []  # (parent, children) of each cycle scored in this batch
-        for cycle in range(first, cycles if proxy is not None and _LOOKAHEAD else first + 1):
-            if len(draws) == cycle:
-                draws.append(tournament_draws(keep, config.S, main_rng))
+        for cycle in range(first, len(draws) if _LOOKAHEAD else first + 1):
             # Slot i names birth cycle + i; one at first + keep or later is a
             # pending admission, so this cycle waits for the next batch.
             if max(draws[cycle]) >= keep - (cycle - first):
@@ -258,8 +244,8 @@ def _evolve(method: str, config: EvolutionConfig, fitness: FitnessSource,
         for parent, archs in batch:
             logs = [ChildLog(*next(pairs)) for _ in archs]
             # Best proxy score (an invalid child's -inf loses to any valid
-            # one), earlier child winning ties.
-            best = 0 if proxy is None else max(range(children), key=lambda j: logs[j].proxy)
+            # one), earlier child winning ties; rea's one child is never compared.
+            best = max(range(children), key=lambda j: logs[j].proxy)
             admit(logs[best].arch, logs[best].proxy)
             cycle_log.append(CycleLog(
                 cycle=len(cycle_log), parent_birth=parent.birth, children=tuple(logs),

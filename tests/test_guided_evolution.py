@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea_nas import guided_evolution, zero_proxy
-from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, live_index, random_arch
+from gea_nas.arch_space import SPACE_SIZE, ArchEncoding, live_index, mutate, random_arch
 from gea_nas.benchmark_store import NoisyProxySource, OracleProxySource, SyntheticLandscape
 from gea_nas.guided_evolution import (
     EvaluatedModel,
@@ -17,22 +17,11 @@ from gea_nas.guided_evolution import (
     run_random_baseline,
     run_rea_baseline,
     run_search,
-    tournament_select,
 )
 from gea_nas.network_builder import SkeletonConfig
 from gea_nas.zero_proxy import JacobianProxySource, ProxyConfig, make_batch, score_architecture
 
 from process_helpers import CallLog
-
-
-class StubRng:
-    """Replays a fixed queue of integers through the Generator.integers slot."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def integers(self, *args, **kwargs):
-        return self.values.pop(0)
 
 
 class CellProxy:
@@ -109,13 +98,18 @@ def test_evaluated_model_fitness_range():
         model(-0.1, 0)
 
 
+def tournament_slots(seed, n, s, size=5):
+    """The slots of n tournaments of s among size members, drawn as a search
+    of this seed draws its cycles' (test_each_parent_wins_the_tournament_over_its_slots)."""
+    return _rng(seed, 0).integers(size, size=(n, s)).tolist()
+
+
 def test_tournament_single_draw_is_uniform():
     pop = [model(float(i), i) for i in range(5)]
-    rng = np.random.default_rng(7)
     counts = np.zeros(5)
     n = 20000
-    for _ in range(n):
-        counts[tournament_select(pop, 1, rng).birth] += 1
+    for slots in tournament_slots(7, n, 1):
+        counts[best_of([pop[i] for i in slots]).birth] += 1
     assert np.all(np.abs(counts / n - 0.2) < 0.02)
 
 
@@ -124,26 +118,26 @@ def test_tournament_single_draw_is_uniform():
 def test_tournament_best_win_frequency(s, seed, expect):
     # P(best of 5 enters at least one of s draws) = 1 - (4/5)^s
     pop = [model(float(i), i) for i in range(5)]
-    rng = np.random.default_rng(seed)
     n = 100000
-    wins = sum(tournament_select(pop, s, rng).birth == 4 for _ in range(n))
+    wins = sum(best_of([pop[i] for i in slots]).birth == 4
+               for slots in tournament_slots(seed, n, s))
     assert abs(wins / n - expect) < 0.005
 
 
 def test_tournament_tie_goes_to_earlier_birth():
     pop = [model(5.0, i) for i in range(3)]
-    # draws 2 then 0: equal fitness, the earlier birth must win
-    assert tournament_select(pop, 2, StubRng([2, 0])).birth == 0
-    # and draw order must not matter
-    assert tournament_select(pop, 2, StubRng([0, 2])).birth == 0
+    # slots 2 then 0: equal fitness, the earlier birth must win
+    assert best_of([pop[2], pop[0]]).birth == 0
+    # and slot order must not matter
+    assert best_of([pop[0], pop[2]]).birth == 0
 
 
-def reference_tournament(members, s, rng):
-    """The explicit loop tournament_select replaced: S draws, strictly
-    higher fitness or equal fitness with an earlier birth takes the lead."""
+def reference_tournament(members, slots):
+    """A tournament as an explicit loop over its slots: strictly higher
+    fitness or equal fitness with an earlier birth takes the lead."""
     best = None
-    for _ in range(s):
-        pick = members[int(rng.integers(len(members)))]
+    for i in slots:
+        pick = members[i]
         if best is None or pick.fitness > best.fitness or \
                 (pick.fitness == best.fitness and pick.birth < best.birth):
             best = pick
@@ -163,14 +157,13 @@ tied_fitness = st.lists(st.sampled_from([10.0, 50.0, 90.0]), min_size=1, max_siz
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_fitness, st.randoms(use_true_random=False), st.integers(1, 6),
-       st.integers(0, 2**32 - 1))
-def test_tournament_matches_reference_loop(fitnesses, shuffler, s, seed):
+@given(tied_fitness, st.randoms(use_true_random=False), st.data())
+def test_tournament_matches_reference_loop(fitnesses, shuffler, data):
     births = list(range(len(fitnesses)))
     shuffler.shuffle(births)  # member order need not be birth order
     pop = [model(f, b) for f, b in zip(fitnesses, births)]
-    got = tournament_select(pop, s, np.random.default_rng(seed))
-    assert got is reference_tournament(pop, s, np.random.default_rng(seed))
+    slots = data.draw(st.lists(st.integers(0, len(pop) - 1), min_size=1, max_size=6))
+    assert best_of([pop[i] for i in slots]) is reference_tournament(pop, slots)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,24 +351,53 @@ def proxy_of(mode, seed, land):
             JacobianProxySource(None, TINY_PROXY, seed))
 
 
-@pytest.mark.parametrize("mode", ["oracle", "mock", "proxy"])
+def searched_with(mode, config, land, fitness=None):
+    """A search of the given mode ("rea" or a proxy_of mode) on ``land``, or
+    on ``fitness`` if it wraps land, its proxy source closed afterwards."""
+    fitness = fitness or land
+    if mode == "rea":
+        return run_rea_baseline(config, fitness)
+    proxy = proxy_of(mode, config.seed, land)
+    try:
+        return run_search(config, proxy, fitness)
+    finally:
+        getattr(proxy, "close", lambda: None)()
+
+
+@pytest.mark.parametrize("mode", ["oracle", "mock", "proxy", "rea"])
 @pytest.mark.parametrize("C,P,S", [(60, 5, 2), (40, 3, 5), (30, 2, 2), (25, 4, 1)])
 def test_lookahead_batches_change_nothing_outside_timing(monkeypatch, mode, C, P, S):
     land, docs, batches = SyntheticLandscape(2), [], []
     for lookahead in (True, False):
         monkeypatch.setattr(guided_evolution, "_LOOKAHEAD", lookahead)
-        proxy = proxy_of(mode, C + S, land)
-        log = BatchLog(proxy, land)
-        try:
-            result = run_search(EvolutionConfig(C=C, P=P, S=S, seed=C + S), log, log.fitness)
-        finally:
-            getattr(proxy, "close", lambda: None)()
+        fitness = CountingSource(land)
+        drawn_at = []  # models admitted when each child was drawn
+
+        def logged_mutate(arch, rng):
+            drawn_at.append(fitness.calls)
+            return mutate(arch, rng)
+
+        monkeypatch.setattr(guided_evolution, "mutate", logged_mutate)
+        result = searched_with(mode, EvolutionConfig(C=C, P=P, S=S, seed=C + S), land, fitness)
         docs.append(result.to_json_dict())
         docs[-1].pop("timing")
-        batches.append(len(log.batches))
+        batches.append(len(set(drawn_at)))
     assert docs[0] == docs[1]
-    assert batches[1] == 1 + C - P  # the candidates, then one batch per cycle
+    assert batches[1] == C - P  # one batch per cycle
     assert batches[0] < batches[1]  # the lookahead merged some cycles
+
+
+@pytest.mark.parametrize("mode", ["oracle", "mock", "proxy", "rea"])
+@pytest.mark.parametrize("C,P,S", [(40, 5, 2), (30, 3, 5), (12, 1, 3)])
+def test_each_parent_wins_the_tournament_over_its_slots(mode, C, P, S):
+    seed = C + S
+    result = searched_with(mode, EvolutionConfig(C=C, P=P, S=S, seed=seed),
+                           SyntheticLandscape(3))
+    slots = tournament_slots(seed, C - P, S, P)
+    assert len(result.cycle_log) == len(slots)
+    for log in result.cycle_log:
+        c = log.cycle
+        assert log.parent_birth == best_of([result.history[c + i] for i in slots[c]]).birth
 
 
 @pytest.mark.parametrize("C,P,S", [(80, 5, 2), (50, 3, 3), (40, 4, 6)])
