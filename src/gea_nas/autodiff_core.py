@@ -22,11 +22,16 @@ Conventions:
 
 Kernel forms:
   - a 1x1 conv is one GEMM of the (Cout, Cin) weights with the input as a
-    (Cin, H*W*N) matrix; a 3x3 conv copies its input once into row shifts,
-    (Cin, 3, H+2, W, N) with row j shifted by j-1 along W and one zero row
-    above and below, and sums three GEMMs of the (Cout, Cin*3) weights of
-    kernel row i with the (Cin*3, H*W*N) view of those shifts that starts
-    at row i (a column slice that BLAS reads in place, no copy);
+    (Cin, H*W*N) matrix; a 3x3 conv streams over blocks of R output rows.
+    Each block copies its rows and their two halo rows (zero at the image
+    edges) into row shifts, (Cin, 3, R+2, W, N) with shift j moved by j-1
+    along W, and sums three GEMMs of the (Cout, Cin*3) weights of kernel row
+    i with the (Cin*3, R*W*N) view of those shifts that starts at row i (a
+    column slice that BLAS reads in place, no copy) into the block's output
+    rows. One buffer serves every block. R fills ~1 MiB (_BLOCK_BYTES), so
+    the buffer fits L2, but is at least 4 rows; an 8x8 map at N=32 is one
+    block. Each output keeps its whole Cin*3 reduction in one GEMM call, so
+    the blocking moves no bit;
   - the conv input gradient is the forward conv with each kernel flipped
     spatially and Cin/Cout swapped, its adjoint;
   - pooling is two products with tridiagonal bands of ones, (W, W) along W
@@ -69,6 +74,15 @@ class GraphStateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+_BLOCK_BYTES = 1 << 20  # a 3x3 conv's row-shift buffer, halo rows included; fits L2
+_MIN_BLOCK_ROWS = 4  # keeps the two halo rows a small share of each block's fill
+
+
+def _block_rows(cin: int, h: int, wn: int) -> int:
+    """Output rows per row-shift block of a 3x3 conv on (cin, h, W, N) maps, wn = W*N."""
+    return min(h, max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (cin * 3 * wn * 8) - 2))
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """conv2d without the operand checks. The input gradient calls this
     directly, so conv2d itself runs only for forward convolutions."""
@@ -76,18 +90,31 @@ def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     cout = w.shape[0]
     if w.shape[2] == 1:
         return (w.reshape(cout, cin) @ x.reshape(cin, -1)).reshape(cout, h, wd, n)
-    buf = np.empty((cin, 3, h + 2, wd, n))
-    buf[:, :, [0, -1]] = 0.0
-    buf[:, 0, 1:-1, 0] = 0.0
-    buf[:, 0, 1:-1, 1:] = x[:, :, :-1]
-    buf[:, 1, 1:-1] = x
-    buf[:, 2, 1:-1, :-1] = x[:, :, 1:]
-    buf[:, 2, 1:-1, -1] = 0.0
-    rows, wn, hwn = buf.reshape(cin * 3, -1), wd * n, h * wd * n
-    out = w[:, :, 0].reshape(cout, -1) @ rows[:, :hwn]
-    for i in (1, 2):
-        out += w[:, :, i].reshape(cout, -1) @ rows[:, i * wn : i * wn + hwn]
-    return out.reshape(cout, h, wd, n)
+    wn = wd * n
+    step = _block_rows(cin, h, wn)
+    out = np.empty((cout, h, wd, n))
+    store = np.empty(cin * 3 * (step + 2) * wn)  # after out: less heap at the peak
+    flat = out.reshape(cout, h * wn)
+    taps = [w[:, :, i].reshape(cout, -1) for i in range(3)]
+    for r0 in range(0, h, step):
+        m = min(step, h - r0)  # output rows in this block; buffer row j is image row r0 + j - 1
+        buf = store[: cin * 3 * (m + 2) * wn].reshape(cin, 3, m + 2, wd, n)
+        lo, hi = max(r0 - 1, 0), min(r0 + m + 1, h)  # the image rows the block reads
+        top, end, src = lo - r0 + 1, hi - r0 + 1, x[:, lo:hi]
+        buf[:, :, :top] = 0.0  # halo rows beyond the image
+        buf[:, :, end:] = 0.0
+        part = buf[:, :, top:end]
+        part[:, 0, :, 0] = 0.0
+        part[:, 0, :, 1:] = src[:, :, :-1]
+        part[:, 1] = src
+        part[:, 2, :, :-1] = src[:, :, 1:]
+        part[:, 2, :, -1] = 0.0
+        rows, cols = buf.reshape(cin * 3, -1), m * wn
+        dst = flat[:, r0 * wn : r0 * wn + cols]
+        np.matmul(taps[0], rows[:, :cols], out=dst)
+        for i in (1, 2):
+            dst += taps[i] @ rows[:, i * wn : i * wn + cols]
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:

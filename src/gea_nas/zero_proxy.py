@@ -162,7 +162,7 @@ def _keep_freed_heap() -> bool:
     """Once per process, set glibc's M_TRIM_THRESHOLD (-1) to 256 MiB and
     M_MMAP_THRESHOLD (-3) to 32 MiB, the 64-bit ceiling of its dynamic one,
     so a proxy score reuses freed pages instead of faulting them in (~750
-    minor faults per 8x8 score, ~4k per 32x32); either alone is slower.
+    minor faults per 8x8 score, ~4.7k per 32x32); either alone is slower.
     Returns False, changing nothing, where mallopt is missing or refuses."""
     try:
         mallopt = ctypes.CDLL(None).mallopt

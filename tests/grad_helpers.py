@@ -1,5 +1,6 @@
-"""Finite-difference checks of CompGraph input gradients, and a view of the
-maps that forward frees, shared by the tests."""
+"""Finite-difference checks of CompGraph input gradients, a view of the maps
+that forward frees, and the single-buffer 3x3 conv the blocked kernel must
+match bit for bit, shared by the tests."""
 
 from __future__ import annotations
 
@@ -7,6 +8,26 @@ import numpy as np
 import pytest
 
 from gea_nas.autodiff_core import CompGraph, Record
+
+
+def correlate_single_buffer(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The 3x3 conv of autodiff_core._correlate before it streamed blocks of
+    rows: one (Cin, 3, H+2, W, N) row-shift buffer for the whole image, then
+    three GEMMs over all of it."""
+    cin, h, wd, n = x.shape
+    cout = w.shape[0]
+    buf = np.empty((cin, 3, h + 2, wd, n))
+    buf[:, :, [0, -1]] = 0.0
+    buf[:, 0, 1:-1, 0] = 0.0
+    buf[:, 0, 1:-1, 1:] = x[:, :, :-1]
+    buf[:, 1, 1:-1] = x
+    buf[:, 2, 1:-1, :-1] = x[:, :, 1:]
+    buf[:, 2, 1:-1, -1] = 0.0
+    rows, wn, hwn = buf.reshape(cin * 3, -1), wd * n, h * wd * n
+    out = w[:, :, 0].reshape(cout, -1) @ rows[:, :hwn]
+    for i in (1, 2):
+        out += w[:, :, i].reshape(cout, -1) @ rows[:, i * wn : i * wn + hwn]
+    return out.reshape(cout, h, wd, n)
 
 
 def forward_maps(graph: CompGraph, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

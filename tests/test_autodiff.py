@@ -22,7 +22,7 @@ from gea_nas.autodiff_core import (
 from gea_nas.network_builder import SkeletonConfig, build_network
 from gea_nas.zero_proxy import ProxyConfig, make_batch, score_architecture
 
-from grad_helpers import forward_maps, grad_check
+from grad_helpers import correlate_single_buffer, forward_maps, grad_check
 
 
 # Naive reference kernels, written independently of the row-shift conv path.
@@ -144,6 +144,34 @@ def test_conv_and_input_grad_match_naive_oracles_on_nan_filled_buffers(shape, mo
     assert np.max(np.abs(out - channel_major(conv2d_naive(x, w)))) <= 1e-12
     dx = conv2d_input_grad(channel_major(dout), w)
     assert np.max(np.abs(dx - channel_major(conv2d_input_grad_naive(dout, w)))) <= 1e-12
+
+
+# (Cin, W, N): the stem conv and a cell conv of the 32x32 proxy_cifar batch,
+# and both at 8x8 with an ImageNet16-120 batch of 240.
+@pytest.mark.parametrize("cin,wd,n", [(3, 32, 32), (8, 32, 32), (3, 8, 240), (8, 8, 240)])
+@pytest.mark.parametrize("blocks", ["one", "two", "many"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_conv_matches_the_single_buffer_conv_bit_for_bit(cin, wd, n, blocks, threads):
+    # Each output keeps its Cin*3 reduction in one GEMM call whatever the
+    # block, so blocking the rows must not move a single bit.
+    step = autodiff_core._block_rows(cin, 10**6, wd * n)
+    h = {"one": step, "two": 2 * step, "many": 3 * step + 1}[blocks]  # many: a 1-row last block
+    rng = np.random.default_rng([cin, wd, n, h])
+    x, dout = rng.normal(size=(cin, h, wd, n)), rng.normal(size=(8, h, wd, n))
+    w = rng.normal(size=(8, cin, 3, 3))
+    blas = autodiff_core._blas_threads()
+    if blas is None and threads != 1:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    before = None if blas is None else blas[0]()
+    try:
+        if blas is not None:
+            blas[1](threads)
+        assert np.array_equal(conv2d(x, w), correlate_single_buffer(x, w))
+        assert np.array_equal(conv2d_input_grad(dout, w), correlate_single_buffer(
+            dout, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+    finally:
+        if blas is not None:
+            blas[1](before)
 
 
 def test_avg_pool_constant_input_corners():
@@ -540,16 +568,26 @@ def test_graph_is_spent_after_backward():
     assert np.array_equal(graph.backward_to_input(), first)
 
 
+def _peak_heap_of_a_32x32_score(op: Operation) -> int:
+    """tracemalloc's peak over one 32x32 score of the cell with op on every edge."""
+    config = ProxyConfig(skeleton=SkeletonConfig(image_hw=32))
+    batch = make_batch(config)
+    tracemalloc.start()
+    try:
+        assert score_architecture(ArchEncoding((op,) * 6), batch, config).valid
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_32x32_score_peak_heap_is_bounded():
     # Holding every map and gradient to the end peaked at ~47 MiB for this
     # cell; freeing each after its last use peaks at ~14 MiB.
-    config = ProxyConfig(skeleton=SkeletonConfig(image_hw=32))
-    batch = make_batch(config)
-    arch = ArchEncoding((Operation.AVG_POOL_3X3,) * 6)
-    tracemalloc.start()
-    try:
-        assert score_architecture(arch, batch, config).valid
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert _peak_heap_of_a_32x32_score(Operation.AVG_POOL_3X3) < 24 * 2**20
+
+
+def test_32x32_all_conv_score_peak_heap_is_bounded():
+    # The cell with the most live buffers. One row-shift buffer for a whole
+    # 32x32 image (6.4 MiB) peaked at ~28.7 MiB; streaming each 3x3 conv
+    # through one ~1 MiB block of rows peaks at ~22.7 MiB.
+    assert _peak_heap_of_a_32x32_score(Operation.NOR_CONV_3X3) < 25 * 2**20
